@@ -53,10 +53,6 @@ class SuperattractingError(MathDomainError):
 
 # orbit enumeration ------------------------------------------------------
 
-class BranchCutError(MathDomainError):
-    """Inverse-branch composition left its usable domain."""
-
-
 class DegreeOverflowError(MathDomainError):
     """d**n exceeds the cap for the requested enumeration method."""
 

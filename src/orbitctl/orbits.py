@@ -2,10 +2,10 @@
 
 Two independent routes produce the fixed points of f^n:
 
-* backward: every length-n word over the d inverse branches is iterated
-  cyclically until the composition contracts onto its unique fixed point.
-  This finds exactly the repelling points (attracting cycles repel the
-  inverse branches) and scales to d^n around 10^5.
+* backward: the preimage tree of a repelling fixed point, built to depth n
+  for any rational map.  Newton on f^m(z) = z from the depth-m nodes, for
+  every m | n, lands on the primitive repelling m-cycles; their points are
+  exactly the repelling fixed points of f^n.  The tree holds d^n leaves.
 * roots: all d^n solutions of f^n(z) = z at once via Aberth-Ehrlich,
   feasible for d^n <= 4096.  Finds non-repelling points too.
 
@@ -35,7 +35,6 @@ from scipy.spatial import cKDTree
 
 from . import maps as maps_mod
 from .errors import (
-    BranchCutError,
     DegreeOverflowError,
     FingerprintMismatchError,
     IncompleteCensusError,
@@ -152,77 +151,7 @@ def expected_fixed_count(map_spec: RationalMapSpec, n: int) -> int:
     return d**n + 1
 
 
-# ---- inverse branches ----------------------------------------------------
-
-def _branch_kind(map_spec: RationalMapSpec) -> str | None:
-    num = map_spec.numerator
-    d = map_spec.degree
-    if map_spec.is_polynomial and all(c == 0 for c in num[1:-1]):
-        return "monomial"  # a*z^d + c
-    if d == 2:
-        return "quadratic"
-    return None
-
-
-def _inverse_branch(map_spec: RationalMapSpec, x: np.ndarray, branch: np.ndarray) -> np.ndarray:
-    """Vectorized inverse branch selection; branch[i] in {0..d-1}."""
-    kind = _branch_kind(map_spec)
-    d = map_spec.degree
-    if kind == "monomial":
-        a = map_spec.numerator[-1]
-        c = map_spec.numerator[0]
-        w = (x - c) / a
-        root = np.exp(np.log(np.where(w == 0, 1e-300, w)) / d)
-        phases = np.exp(2j * np.pi * np.arange(d) / d)
-        return root * phases[branch]
-    if kind == "quadratic":
-        num = list(map_spec.numerator) + [0j] * (3 - len(map_spec.numerator))
-        den = list(map_spec.denominator) + [0j] * (3 - len(map_spec.denominator))
-        a = num[2] - x * den[2]
-        b = num[1] - x * den[1]
-        c = num[0] - x * den[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            disc = np.sqrt(b * b - 4.0 * a * c)
-            plus = (-b + disc) / (2.0 * a)
-            minus = (-b - disc) / (2.0 * a)
-        return np.where(branch == 0, plus, minus)
-    raise BranchCutError(
-        "no closed-form inverse branches for this map; use method='roots'"
-    )
-
-
-def backward_supported(map_spec: RationalMapSpec) -> bool:
-    return _branch_kind(map_spec) is not None
-
-
-def _backward_candidates(
-    map_spec: RationalMapSpec,
-    n: int,
-    seed: complex,
-    max_cycles: int = 300,
-    tol: float = 1e-13,
-) -> np.ndarray:
-    """Limits of all d^n periodic inverse-branch words, then Newton-polished."""
-    d = map_spec.degree
-    count = d**n
-    idx = np.arange(count)
-    words = (idx[:, None] // d ** np.arange(n)[None, :]) % d  # (count, n)
-
-    z = np.full(count, complex(seed), dtype=complex)
-    prev = z.copy()
-    for cycle in range(max_cycles):
-        for j in range(n - 1, -1, -1):
-            z = _inverse_branch(map_spec, z, words[:, j])
-        lost = ~np.isfinite(z.real) | ~np.isfinite(z.imag)
-        if lost.any():
-            z[lost] = complex(seed)
-        if cycle >= 2:
-            delta = np.max(np.abs(z - prev))
-            if delta < tol * (1.0 + np.max(np.abs(z))):
-                break
-        prev = z.copy()
-    return newton_polish(map_spec, z, n)
-
+# ---- point sets ------------------------------------------------------------
 
 def _dedup(points: np.ndarray, tol: float = PAIR_TOL) -> np.ndarray:
     if points.size == 0:
@@ -274,8 +203,8 @@ def _forward_closure(
     return pts
 
 
-def _fixed_point_seed(map_spec: RationalMapSpec) -> complex:
-    """Repelling fixed point of largest multiplier modulus (deterministic)."""
+def _finite_fixed_points(map_spec: RationalMapSpec) -> np.ndarray:
+    """Roots of P(z) - z Q(z), the fixed points of f in the plane."""
     num = np.asarray(map_spec.numerator, dtype=complex)
     den = np.zeros(max(len(map_spec.numerator), len(map_spec.denominator) + 1), dtype=complex)
     den[1 : len(map_spec.denominator) + 1] = map_spec.denominator
@@ -283,7 +212,12 @@ def _fixed_point_seed(map_spec: RationalMapSpec) -> complex:
     coeffs[: num.size] += num
     coeffs[: den.size] -= den
     coeffs = np.trim_zeros(coeffs[::-1], "f")
-    fps = np.roots(coeffs) if coeffs.size > 1 else np.empty(0, complex)
+    return np.roots(coeffs) if coeffs.size > 1 else np.empty(0, complex)
+
+
+def _fixed_point_seed(map_spec: RationalMapSpec) -> complex:
+    """Repelling fixed point of largest multiplier modulus (deterministic)."""
+    fps = _finite_fixed_points(map_spec)
     if fps.size == 0:
         raise MathDomainError("map has no finite fixed point to seed from")
     fps = newton_polish(map_spec, np.asarray(fps, complex), 1)
@@ -295,14 +229,7 @@ def _fixed_point_seed(map_spec: RationalMapSpec) -> complex:
 
 
 def _init_radius(map_spec: RationalMapSpec) -> float:
-    num = np.asarray(map_spec.numerator, dtype=complex)
-    den = np.zeros(max(len(map_spec.numerator), len(map_spec.denominator) + 1), dtype=complex)
-    den[1 : len(map_spec.denominator) + 1] = map_spec.denominator
-    coeffs = np.zeros(max(num.size, den.size), dtype=complex)
-    coeffs[: num.size] += num
-    coeffs[: den.size] -= den
-    coeffs = np.trim_zeros(coeffs[::-1], "f")
-    fps = np.roots(coeffs) if coeffs.size > 1 else np.empty(0, complex)
+    fps = _finite_fixed_points(map_spec)
     top = float(np.abs(fps).max()) if fps.size else 1.0
     return 1.05 * max(1.0, top) + 0.05
 
@@ -325,28 +252,20 @@ def fixed_points(
     method: str = "auto",
     roots_cap: int = ROOTS_CAP,
     override_hyperbolicity: bool = False,
-    expected_repelling: int | None = None,
     _probe_bootstrap: bool = False,
 ) -> np.ndarray:
     """Fixed points of f^n, lexicographically sorted.
 
-    method='backward' returns the repelling points only; 'roots' returns
+    method='backward' (and 'auto', its alias) returns the repelling points
+    only, found on the preimage tree of any rational map; 'roots' returns
     everything (non-repelling included) and is capped at d^n <= roots_cap;
     'both' runs the two routes, demands that their repelling sets agree
     point for point at the pairing tolerance, and returns the union.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = map_spec.degree
     if method == "auto":
-        if backward_supported(map_spec):
-            method = "backward"
-        elif d**n <= roots_cap:
-            method = "roots"
-        else:
-            raise DegreeOverflowError(
-                f"d^n = {d**n} exceeds the roots cap and no inverse branches exist"
-            )
+        method = "backward"
 
     if method in ("backward", "both") and not (_probe_bootstrap or override_hyperbolicity):
         verdict = _cached_verdict(map_spec)
@@ -359,9 +278,9 @@ def fixed_points(
     if method == "roots":
         return _roots_route(map_spec, n, roots_cap)
     if method == "backward":
-        return _backward_route(map_spec, n, expected_repelling, roots_cap)
+        return _backward_route(map_spec, n)
     if method == "both":
-        back = _backward_route(map_spec, n, expected_repelling, roots_cap)
+        back = _backward_route(map_spec, n)
         full = _roots_route(map_spec, n, roots_cap)
         deriv_mag = np.abs(1.0 + fn_shift(map_spec, full, n)[1])
         rep = full[deriv_mag > 1.0]
@@ -389,35 +308,28 @@ def _roots_route(map_spec: RationalMapSpec, n: int, roots_cap: int) -> np.ndarra
     return _forward_closure(map_spec, pts, n)
 
 
-def _backward_route(
-    map_spec: RationalMapSpec,
-    n: int,
-    expected_repelling: int | None,
-    roots_cap: int,
-) -> np.ndarray:
-    if not backward_supported(map_spec):
-        raise BranchCutError(
-            "no closed-form inverse branches for this map; use method='roots'"
-        )
-    seed = _fixed_point_seed(map_spec)
-    cand = _backward_candidates(map_spec, n, seed)
-    res = residuals(map_spec, cand, n)
-    pts = cand[res < 1e-9 * (1.0 + np.abs(cand))]
-    pts = _dedup(pts)
-    pts = _forward_closure(map_spec, pts, n)
-    if pts.size:
-        # word iteration can land on attracting cycles (they repel the
-        # inverse map only off their immediate basin); keep repelling alone
-        deriv_mag = np.abs(1.0 + fn_shift(map_spec, pts, n)[1])
-        pts = pts[deriv_mag > 1.0]
-    if expected_repelling is not None and pts.size < expected_repelling:
-        if map_spec.degree**n <= roots_cap:
-            # word iteration lost whole cycles near a branch cut; the global
-            # solver recovers them
-            full = _roots_route(map_spec, n, roots_cap)
-            deriv_mag = np.abs(1.0 + fn_shift(map_spec, full, n)[1])
-            pts = _dedup(np.concatenate([pts, full[deriv_mag > 1.0]]))
-    return pts
+def _backward_route(map_spec: RationalMapSpec, n: int) -> np.ndarray:
+    """Repelling fixed points of f^n from the unpruned preimage tree.
+
+    Every primitive repelling m-cycle with m | n is found by Newton from the
+    depth-m nodes (see _level_cycles), then walked forward from its least
+    point with every point polished on f^m.  Plain forward iteration
+    multiplies roundoff by the partial multipliers, which are large on
+    cycles that pass near a critical point: the images miss the pairing
+    tolerance, and at basilica n = 16 they drift close enough to
+    neighbouring cycles that Newton on f^n lands on those instead.
+    """
+    found = []
+    for k, levels, parents, _ in _tree_levels(map_spec, math.inf):
+        if n % k == 0:
+            _, ring, _ = _level_cycles(map_spec, levels, parents, k)
+            for _ in range(k):
+                ring = newton_polish(map_spec, ring, k)
+                found.append(ring)
+                ring = map_values(map_spec, ring)
+        if k == n:
+            break
+    return _dedup(np.concatenate(found))
 
 
 # ---- classification -------------------------------------------------------
@@ -577,14 +489,10 @@ def enumerate_primitive(
         )
 
     expected_total = expected_fixed_count(map_spec, n)
-    nonrep_level = db.nonrepelling_level_count(n)
-    requested = method
-    if requested == "auto":
-        requested = "backward" if backward_supported(map_spec) else "roots"
+    requested = "backward" if method == "auto" else method
     pts = fixed_points(
         map_spec, n, method=requested, roots_cap=roots_cap,
         override_hyperbolicity=override_hyperbolicity or db.hyperbolicity == "hyperbolic-evidence",
-        expected_repelling=expected_total - nonrep_level if requested != "roots" else None,
     )
     cycles = classify_orbits(map_spec, pts, n, pair_tol=db.tolerances["pairing"])
 
@@ -705,8 +613,8 @@ def _tree_levels(map_spec: RationalMapSpec, bound: float):
     while levels[-1].size:
         if levels[-1].size * map_spec.degree > WALK_LEVEL_CAP:
             raise DegreeOverflowError(
-                f"multiplier walk holds {levels[-1].size * map_spec.degree} nodes at "
-                f"depth {len(levels)}, above the cap {WALK_LEVEL_CAP}; lower the threshold"
+                f"preimage tree holds {levels[-1].size * map_spec.degree} nodes at "
+                f"depth {len(levels)}, above the cap {WALK_LEVEL_CAP}"
             )
         pre = preimages(map_spec, levels[-1])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -1046,17 +954,16 @@ def save_db(db: OrbitDatabase, path):
 
 def load_db(path, map_spec: RationalMapSpec | None = None) -> OrbitDatabase:
     with open(path) as fh:
-        raw = [line for line in fh.read().splitlines() if line.strip()]
+        raw = [(i, line) for i, line in enumerate(fh.read().splitlines(), start=1) if line.strip()]
     if not raw:
         raise VersionMismatchError(f"{path}: empty cache file")
     try:
-        header = json.loads(raw[0])
+        header = json.loads(raw[0][1])
     except json.JSONDecodeError as exc:
         raise VersionMismatchError(f"{path}: corrupted header ({exc})") from None
-    if not isinstance(header, dict) or header.get("version") != DB_VERSION:
-        raise VersionMismatchError(
-            f"{path}: cache version {header.get('version')!r}, expected {DB_VERSION}"
-        )
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != DB_VERSION:
+        raise VersionMismatchError(f"{path}: cache version {version!r}, expected {DB_VERSION}")
     if map_spec is not None and header["fingerprint"] != map_spec.fingerprint:
         raise FingerprintMismatchError(
             f"{path}: cache fingerprint {header['fingerprint']} does not match "
@@ -1069,12 +976,17 @@ def load_db(path, map_spec: RationalMapSpec | None = None) -> OrbitDatabase:
     )
     meta: dict[int, dict] = {}
     grouped: dict[int, dict[str, list[PeriodicOrbit]]] = {}
-    for line in raw[1:]:
-        rec = json.loads(line)
-        if "period" in rec:
-            meta[int(rec["period"])] = rec
-            continue
-        orb = _orbit_from_record(rec)
+    for lineno, line in raw[1:]:
+        try:
+            rec = json.loads(line)
+            if "period" in rec:
+                meta[int(rec["period"])] = rec
+                continue
+            orb = _orbit_from_record(rec)
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise VersionMismatchError(
+                f"{path}: corrupted line {lineno} ({type(exc).__name__}: {exc})"
+            ) from None
         bucket = grouped.setdefault(orb.period, {"rep": [], "non": []})
         bucket["rep" if orb.repelling else "non"].append(orb)
     periods = sorted(set(meta) | set(grouped))

@@ -60,7 +60,7 @@ def newton_polish(
             step = f_val / df_val
         step = np.where(bad | ~np.isfinite(step), 0.0, step)
         z = z - step
-        if np.max(np.abs(step)) < tol * (1.0 + np.max(np.abs(z))):
+        if np.max(np.abs(step), initial=0.0) < tol * (1.0 + np.max(np.abs(z), initial=0.0)):
             break
     return z
 

@@ -224,22 +224,26 @@ def thermo_profile(
     )
 
 
-def _pressure_root(
-    db: OrbitDatabase,
-    n: int,
-    variant: str,
+def bisect_root(
+    press,
     bracket: tuple[float, float],
+    rel_tol: float,
     residual_tol: float,
+    label: str,
 ) -> tuple[float, float, int]:
+    """Root of a function that falls through zero on the bracket, by bisection.
+
+    press is probed at both ends, at every midpoint until the bracket is
+    narrower than rel_tol * (1 + |mid|) (at most 200 halvings), and at the
+    root.  Returns (root, |press(root)|, halvings).  BracketError when the
+    ends do not straddle zero and NonConvergenceError when the residual
+    exceeds residual_tol; both messages begin with label.
+    """
     lo, hi = bracket
-
-    def press(t: float) -> float:
-        return pressure_estimate(db, n, -t, 0.0, variant)
-
     p_lo, p_hi = press(lo), press(hi)
     if not (p_lo > 0.0 > p_hi):
         raise BracketError(
-            f"pressure does not change sign on ({lo}, {hi}) at n = {n}: "
+            f"{label} does not change sign on ({lo}, {hi}): "
             f"P({lo}) = {p_lo:.4g}, P({hi}) = {p_hi:.4g}"
         )
     iters = 0
@@ -250,15 +254,28 @@ def _pressure_root(
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-14 * (1.0 + abs(mid)):
+        if hi - lo < rel_tol * (1.0 + abs(mid)):
             break
     value = 0.5 * (lo + hi)
     residual = abs(press(value))
     if residual > residual_tol:
         raise NonConvergenceError(
-            f"pressure residual {residual:.2e} above {residual_tol:.1e} at t = {value:.12g}"
+            f"{label} residual {residual:.2e} above {residual_tol:.1e} at t = {value:.12g}"
         )
     return value, residual, iters
+
+
+def _pressure_root(
+    db: OrbitDatabase,
+    n: int,
+    variant: str,
+    bracket: tuple[float, float],
+    residual_tol: float,
+) -> tuple[float, float, int]:
+    return bisect_root(
+        lambda t: pressure_estimate(db, n, -t, 0.0, variant),
+        bracket, 1e-14, residual_tol, f"pressure at n = {n}",
+    )
 
 
 def bowen_dimension(

@@ -22,14 +22,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import (
-    BracketError,
     CriticalValueError,
     NonConvergenceError,
     NormalizationError,
 )
 from .maps import DERIV_FLOOR, RationalMapSpec, derivative_values
 from .orbits import _fixed_point_seed, preimages
-from .thermo import DimensionResult
+from .thermo import DimensionResult, bisect_root
 
 COLLISION_TOL = 1e-9
 
@@ -253,33 +252,10 @@ def dimension_from_mesh(
     residual_tol: float = 1e-9,
 ) -> DimensionResult:
     """Bisection root of t -> log Perron root of the weight e^{-t r}."""
-    lo, hi = bracket
-
-    def press(t: float) -> float:
-        return leading_eigendata(mesh, -t, 0.0)[0]
-
-    p_lo, p_hi = press(lo), press(hi)
-    if not (p_lo > 0.0 > p_hi):
-        raise BracketError(
-            f"operator pressure does not change sign on ({lo}, {hi}): "
-            f"{p_lo:.4g} vs {p_hi:.4g}"
-        )
-    iters = 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        iters += 1
-        if press(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * (1.0 + abs(mid)):
-            break
-    value = 0.5 * (lo + hi)
-    residual = abs(press(value))
-    if residual > residual_tol:
-        raise NonConvergenceError(
-            f"operator pressure residual {residual:.2e} at t = {value:.12g}"
-        )
+    value, residual, iters = bisect_root(
+        lambda t: leading_eigendata(mesh, -t, 0.0)[0],
+        bracket, 1e-13, residual_tol, "operator pressure",
+    )
     return DimensionResult(
         value=value,
         residual=residual,

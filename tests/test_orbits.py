@@ -1,6 +1,7 @@
 """Fixed-point enumeration, orbit classification, and census bookkeeping."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from scipy.spatial import cKDTree
 
 from orbitctl import maps, orbits
 from orbitctl.errors import (
-    BranchCutError,
     DegreeOverflowError,
     FingerprintMismatchError,
     IncompleteCensusError,
@@ -30,7 +30,7 @@ def test_fixed_point_set_square_n2(square):
     pts = orbits.fixed_points(square, 2, method="roots")
     expected = [0.0, 1.0, cmath.exp(2j * cmath.pi / 3), cmath.exp(-2j * cmath.pi / 3)]
     assert as_set(pts) == as_set(expected)
-    # auto may walk backward instead, which drops the non-repelling point
+    # auto walks backward, which drops the non-repelling point
     auto = orbits.fixed_points(square, 2)
     assert as_set(auto) <= as_set(expected)
     assert (round(1.0, 9), round(0.0, 9)) in as_set(auto)
@@ -43,34 +43,36 @@ def test_fixed_point_set_basilica_n2(basilica):
 
 
 def test_methods_agree_point_for_point():
-    spec = maps.RationalMapSpec(numerator=(0.1, 0.0, 1.0), denominator=(1.0,))
-    n = 6
-    via_roots = orbits.fixed_points(spec, n, method="roots")
-    assert len(via_roots) == 2**n
-    via_backward = orbits.fixed_points(spec, n, method="backward")
-    # backward walks the repelling set only; every point must sit on a root
-    assert 0 < len(via_backward) <= len(via_roots)
-    tree = cKDTree(np.c_[via_roots.real, via_roots.imag])
-    dist, idx = tree.query(np.c_[via_backward.real, via_backward.imag])
-    assert dist.max() < 1e-9
-    assert len(set(idx)) == len(via_backward)
-    # and the non-repelling remainder is exactly the attracting basin's share
-    classified = orbits.classify_orbits(spec, via_roots, n)
-    rep_points = sum(o.period for o in classified if o.repelling)
-    assert rep_points == len(via_backward)
+    # z^2 + 0.1, and z^3 + 0.1 z, whose inverse branches have no closed form
+    for numerator, n in (((0.1, 0.0, 1.0), 6), ((0.0, 0.1, 0.0, 1.0), 5)):
+        spec = maps.RationalMapSpec(numerator=numerator, denominator=(1.0,))
+        via_roots = orbits.fixed_points(spec, n, method="roots")
+        assert len(via_roots) == spec.degree**n
+        via_backward = orbits.fixed_points(spec, n, method="backward")
+        # backward walks the repelling set only; every point must sit on a root
+        assert 0 < len(via_backward) <= len(via_roots)
+        tree = cKDTree(np.c_[via_roots.real, via_roots.imag])
+        dist, idx = tree.query(np.c_[via_backward.real, via_backward.imag])
+        assert dist.max() < 1e-9
+        assert len(set(idx)) == len(via_backward)
+        # and the non-repelling remainder is exactly the attracting basin's share
+        classified = orbits.classify_orbits(spec, via_roots, n)
+        rep_points = sum(o.period for o in classified if o.repelling)
+        assert rep_points == len(via_backward)
+
+
+def test_backward_closes_deep_levels(basilica):
+    # forward images of cycles that pass near the critical point drift by
+    # far more than the pairing tolerance unless every point is polished
+    pts = orbits.fixed_points(basilica, 16, method="backward")
+    cycles = orbits.classify_orbits(basilica, pts, 16)
+    assert sum(1 for c in cycles if c.period == 16) == (2**16 - 2**8) // 16
 
 
 def test_backward_requires_hyperbolicity_evidence():
     close = maps.RationalMapSpec(numerator=(0.26, 0.0, 1.0), denominator=(1.0,))
     with pytest.raises(MathDomainError, match="inconclusive"):
         orbits.fixed_points(close, 3, method="backward")
-
-
-def test_backward_needs_closed_form_branches():
-    spec = maps.RationalMapSpec(numerator=(0.0, 0.1, 0.0, 1.0), denominator=(1.0,))
-    assert not orbits.backward_supported(spec)
-    with pytest.raises(BranchCutError):
-        orbits.fixed_points(spec, 3, method="backward")
 
 
 def test_roots_method_degree_cap(square):
@@ -181,17 +183,28 @@ def test_load_rejects_foreign_map(tmp_path, square, basilica_db):
         orbits.load_db(path, square)
 
 
-def test_load_rejects_future_version(tmp_path, basilica, basilica_db):
-    import json
+def _future_version(lines):
+    header = json.loads(lines[0])
+    header["version"] += 99
+    return [json.dumps(header)] + lines[1:]
 
+
+def _truncated_last_line(lines):
+    return lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_future_version, "cache version 100"), (_truncated_last_line, "corrupted line")],
+    ids=["future-version", "truncated-line"],
+)
+def test_load_rejects_corrupt_cache(tmp_path, basilica, basilica_db, corrupt, message):
     path = tmp_path / "census.jsonl"
     orbits.save_db(basilica_db, path)
-    lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
-    header["version"] = header.get("version", 1) + 99
-    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-    with pytest.raises(VersionMismatchError):
+    path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+    with pytest.raises(VersionMismatchError, match=message) as err:
         orbits.load_db(path, basilica)
+    assert str(path) in str(err.value)
 
 
 # ---- multiplier-bounded walk -------------------------------------------------
