@@ -37,7 +37,6 @@ from .counting import (
     count_orbits,
     li_table,
     logarithmic_integral,
-    ow_count,
     predicted_count,
     smoothed_count,
     weyl_sums,
@@ -76,7 +75,6 @@ __all__ = [
     "predicted_count",
     "smoothed_count",
     "weyl_sums",
-    "ow_count",
     "convergence_report",
     "li_table",
     "logarithmic_integral",

@@ -115,13 +115,11 @@ def load_or_build_db(
         db = orbits.load_db(path, map_spec)
     else:
         db = orbits.OrbitDatabase.for_map(map_spec)
-    missing = [n for n in range(1, n_max + 1) if not (db.entries.get(n) and db.entries[n].complete)]
-    if not missing:
+    if db.max_complete_period() >= n_max:
         return db
-    for n in range(1, n_max + 1):
-        orbits.enumerate_primitive(
-            map_spec, n, db, method=method, override_hyperbolicity=override_hyperbolicity
-        )
+    orbits.enumerate_primitive(
+        map_spec, n_max, db, method=method, override_hyperbolicity=override_hyperbolicity
+    )
     with _CacheLock(path):
         if os.path.exists(path):
             # merge: never drop entries another run completed meanwhile
@@ -326,11 +324,8 @@ def cmd_owcount(args) -> int:
         delta = args.delta
     thresholds = _parse_floats(args.thresholds)
     report = counting.li_table(db, thresholds, delta, map_spec=map_spec)
-    rows = [
-        [r.threshold, r.count, r.li_value, r.ratio, int(r.truncated)]
-        for r in report.rows
-    ]
-    write_csv(["threshold", "count", "li", "ratio", "truncated"], rows, args.out)
+    rows = [[r.threshold, r.count, r.li_value, r.ratio] for r in report.rows]
+    write_csv(["threshold", "count", "li", "ratio"], rows, args.out)
     return 0
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError, IncompleteCensusError, TruncationError
+from .errors import DomainError, IncompleteCensusError
 from .maps import RationalMapSpec
 from .orbits import OrbitDatabase, multiplier_bounded_orbits
 from .thermo import ThermoProfile
@@ -224,65 +224,12 @@ def logarithmic_integral(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class MultiplierCount:
-    threshold: float
-    count: int
-    max_period: int
-    truncated: bool
-
-
-def ow_count(db: OrbitDatabase, t: float, allow_truncated: bool = False) -> MultiplierCount:
-    """Primitive repelling orbits of the census with multiplier modulus
-    strictly below t.
-
-    The census only reaches some maximal period M, and multiplier size does
-    not order orbits by period: on the basilica the smallest log|lambda| is
-    2.079 at period 3 but 1.517 at period 4.  A period-m cycle has
-    log|lambda| >= m * rho, with rho the smallest Lyapunov exponent of an
-    invariant measure on the Julia set, so no orbit beyond M falls below t
-    once (M + 1) * rho >= log t.  The census cannot bound rho from below
-    without the map: its weakest per-step rate min log|lambda| / period is
-    an upper bound on rho, equal to it only when a census cycle expands
-    least (every cycle of z^d; the basilica's alpha fixed point).  The
-    truncated flag uses that rate, so it is a heuristic: truncated=True
-    means orbits beyond M may fall below t (the call refuses unless
-    allow_truncated is set), but truncated=False does not prove the count
-    complete.  li_table given the map counts through the certified
-    multiplier walk instead, at any period.
-    """
-    if t <= 0:
-        raise DomainError("threshold must be positive")
-    log_t = math.log(t)
-    m_max = db.max_complete_period()
-    if m_max == 0:
-        raise IncompleteCensusError("census is empty")
-    count = 0
-    rate = math.inf
-    for m in range(1, m_max + 1):
-        for orb in db.entries[m].orbits:
-            if orb.log_abs_multiplier < log_t:
-                count += 1
-            rate = min(rate, orb.log_abs_multiplier / m)
-    reach = (m_max + 1) * rate if rate > 0.0 else -math.inf
-    truncated = reach < log_t
-    if truncated and not allow_truncated:
-        raise TruncationError(
-            f"orbits beyond period {m_max} may still have modulus < {t:.6g} "
-            f"(weakest census rate {rate:.4g} per step gives period-{m_max + 1} "
-            f"log modulus >= {reach:.4g} < log t = {log_t:.4g}); "
-            "pass allow_truncated=True to count anyway"
-        )
-    return MultiplierCount(threshold=t, count=count, max_period=m_max, truncated=truncated)
-
-
-@dataclass(frozen=True)
 class LiRow:
     threshold: float
     count: int
     li_value: float
     ratio: float | None
-    truncated: bool
-    max_period: int = 0  # deepest period the count covers
+    max_period: int  # deepest period the count covers
 
 
 @dataclass(frozen=True)
@@ -290,50 +237,42 @@ class LiReport:
     rows: tuple[LiRow, ...]
     delta: float
     trend_ok: bool
-    slack: float | None = None  # multiplier-walk slack when the map was given
+    slack: float | None = None  # multiplier-walk slack; None when no threshold is given
 
 
 def li_table(
     db: OrbitDatabase,
     thresholds,
     delta: float,
-    map_spec: RationalMapSpec | None = None,
+    map_spec: RationalMapSpec,
 ) -> LiReport:
     """Counts against Li(t^delta) across thresholds, with a trend flag.
 
-    Given the map, the counts come from one multiplier-bounded walk at the
-    largest threshold, with its slack measured on the census and its
-    per-period counts certified against it (IncompleteCensusError, exit
-    code 4, otherwise); such rows carry truncated=False and max_period is
-    the longest period counted.  The certification covers the periods the
-    census holds; counts at longer periods rest on the census-measured
-    slack holding at every depth.  Without the map, each row is ow_count
-    on the census alone (which refuses a threshold its heuristic flags as
-    truncated) and max_period is the census depth.
+    The counts come from one multiplier-bounded walk at the largest
+    threshold, with its slack measured on the census and its per-period
+    counts certified against it (IncompleteCensusError, exit code 4,
+    otherwise); max_period is the longest period counted.  The
+    certification covers the periods the census holds; counts at longer
+    periods rest on the census-measured slack holding at every depth.
 
     trend_ok records whether |ratio - 1| is non-increasing over the top
     half of the usable rows, a crude monotonicity check on convergence.
     """
     ts = sorted(float(t) for t in thresholds)
     walk = None
-    if map_spec is not None and ts:
+    if ts:
         if ts[0] <= 0:
             raise DomainError("threshold must be positive")
         walk = multiplier_bounded_orbits(map_spec, db, ts[-1])
     rows = []
     for t in ts:
-        if walk is None:
-            mc = ow_count(db, t)
-        else:
-            mc = MultiplierCount(threshold=t, count=walk.count(t),
-                                 max_period=walk.max_period(t), truncated=False)
+        count = walk.count(t)
         x = t**delta
         li = logarithmic_integral(x) if x >= 2.0 else 0.0
-        ratio = mc.count / li if li > 0 else None
         rows.append(
             LiRow(
-                threshold=t, count=mc.count, li_value=li, ratio=ratio,
-                truncated=mc.truncated, max_period=mc.max_period,
+                threshold=t, count=count, li_value=li, ratio=count / li if li > 0 else None,
+                max_period=walk.max_period(t),
             )
         )
     usable = [abs(r.ratio - 1.0) for r in rows if r.ratio is not None]

@@ -111,9 +111,5 @@ class ScheduleError(MathDomainError):
     """Window schedule violates the sub-exponential shrinking check."""
 
 
-class TruncationError(MathDomainError):
-    """Multiplier count would be truncated by the available census."""
-
-
 class DomainError(MathDomainError):
     """Argument outside the domain of a special function."""

@@ -382,21 +382,16 @@ def hyperbolicity_probe(
         for z0 in critical_points(map_spec)
     )
 
-    rates: list[float] = []
+    # repelling cycles of the sampled periods, from one preimage-tree pass
     samples: list[tuple[int, float]] = []
-    for p in sample_periods:
-        try:
-            pts = orbits.fixed_points(map_spec, p, method="auto", _probe_bootstrap=True)
-            cycles = orbits.classify_orbits(map_spec, pts, p)
-        except MathDomainError:
-            continue
-        for orb in cycles:
-            if orb.period == p and orb.repelling:
-                rates.append(orb.log_abs_multiplier / orb.period)
-                samples.append((orb.period, orb.log_abs_multiplier))
+    try:
+        for p, ring in orbits._tree_cycles(map_spec, sample_periods):
+            samples += [(p, o.log_abs_multiplier) for o in orbits._ring_orbits(map_spec, ring)]
+    except MathDomainError:
+        pass
 
-    if rates:
-        min_rate = min(rates)
+    if samples:
+        min_rate = min(la / per for per, la in samples)
         gamma_hat = math.exp(min_rate)
         log_c = min(la - per * min_rate for per, la in samples)
         c_hat = math.exp(log_c)

@@ -2,12 +2,15 @@
 
 Two independent routes produce the fixed points of f^n:
 
-* backward: the preimage tree of a repelling fixed point, built to depth n
-  for any rational map.  Newton on f^m(z) = z from the depth-m nodes, for
-  every m | n, lands on the primitive repelling m-cycles; their points are
-  exactly the repelling fixed points of f^n.  The tree holds d^n leaves.
+* backward: the preimage tree of a repelling fixed point, walked once for
+  any rational map.  Newton on f^k(z) = z from the depth-k nodes lands on
+  the primitive repelling k-cycles, and the tree emits them as cycles: one
+  ring per cycle, its points polished on f^k in cycle order from the least
+  point, from which the census reads each orbit's multiplier and holonomy
+  directly.  Depth k holds d^k nodes.
 * roots: all d^n solutions of f^n(z) = z at once via Aberth-Ehrlich,
-  feasible for d^n <= 4096.  Finds non-repelling points too.
+  feasible for d^n <= 4096.  Finds non-repelling points too; its points
+  are grouped into cycles by forward matching at the pairing tolerance.
 
 The census identity
     sum_{m | n} m * #(primitive repelling m-cycles) + #(non-repelling fixed
@@ -57,8 +60,6 @@ PAIR_TOL = 1e-9
 ROOTS_CAP = 4096
 DB_VERSION = 1
 
-DEFAULT_TOLERANCES = {"pairing": PAIR_TOL, "newton": 1e-13, "closure": 1e-9}
-
 
 # ---- records -------------------------------------------------------------
 
@@ -91,7 +92,6 @@ class PeriodEntry:
 @dataclass
 class OrbitDatabase:
     map_fingerprint: str
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     hyperbolicity: str | None = None
     entries: dict[int, PeriodEntry] = field(default_factory=dict)
     _term_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -234,14 +234,12 @@ def _init_radius(map_spec: RationalMapSpec) -> float:
     return 1.05 * max(1.0, top) + 0.05
 
 
-_PROBE_CACHE: dict[str, str] = {}
-
-
-def _cached_verdict(map_spec: RationalMapSpec) -> str:
-    fp = map_spec.fingerprint
-    if fp not in _PROBE_CACHE:
-        _PROBE_CACHE[fp] = hyperbolicity_probe(map_spec).verdict
-    return _PROBE_CACHE[fp]
+def _require_hyperbolic(verdict: str | None):
+    if verdict != "hyperbolic-evidence":
+        raise MathDomainError(
+            f"hyperbolicity probe verdict is '{verdict}'; "
+            "pass override_hyperbolicity=True to enumerate backward anyway"
+        )
 
 
 # ---- fixed point drivers --------------------------------------------------
@@ -252,7 +250,6 @@ def fixed_points(
     method: str = "auto",
     roots_cap: int = ROOTS_CAP,
     override_hyperbolicity: bool = False,
-    _probe_bootstrap: bool = False,
 ) -> np.ndarray:
     """Fixed points of f^n, lexicographically sorted.
 
@@ -267,13 +264,8 @@ def fixed_points(
     if method == "auto":
         method = "backward"
 
-    if method in ("backward", "both") and not (_probe_bootstrap or override_hyperbolicity):
-        verdict = _cached_verdict(map_spec)
-        if verdict != "hyperbolic-evidence":
-            raise MathDomainError(
-                f"hyperbolicity probe verdict is '{verdict}'; "
-                "pass override_hyperbolicity=True to enumerate backward anyway"
-            )
+    if method in ("backward", "both") and not override_hyperbolicity:
+        _require_hyperbolic(hyperbolicity_probe(map_spec).verdict)
 
     if method == "roots":
         return _roots_route(map_spec, n, roots_cap)
@@ -309,37 +301,15 @@ def _roots_route(map_spec: RationalMapSpec, n: int, roots_cap: int) -> np.ndarra
 
 
 def _backward_route(map_spec: RationalMapSpec, n: int) -> np.ndarray:
-    """Repelling fixed points of f^n from the unpruned preimage tree.
-
-    Every primitive repelling m-cycle with m | n is found by Newton from the
-    depth-m nodes (see _level_cycles), then walked forward from its least
-    point with every point polished on f^m.  Plain forward iteration
-    multiplies roundoff by the partial multipliers, which are large on
-    cycles that pass near a critical point: the images miss the pairing
-    tolerance, and at basilica n = 16 they drift close enough to
-    neighbouring cycles that Newton on f^n lands on those instead.
-    """
-    found = []
-    for k, levels, parents, _ in _tree_levels(map_spec, math.inf):
-        if n % k == 0:
-            _, ring, _ = _level_cycles(map_spec, levels, parents, k)
-            for _ in range(k):
-                ring = newton_polish(map_spec, ring, k)
-                found.append(ring)
-                ring = map_values(map_spec, ring)
-        if k == n:
-            break
-    return _dedup(np.concatenate(found))
+    """Repelling fixed points of f^n: the points of every primitive
+    repelling m-cycle with m | n, from one pass over the preimage tree."""
+    pts = np.concatenate([ring.ravel() for _, ring in _tree_cycles(map_spec, divisors(n))])
+    return pts[np.lexsort((pts.imag, pts.real))]
 
 
 # ---- classification -------------------------------------------------------
 
-def classify_orbits(
-    map_spec: RationalMapSpec,
-    points,
-    n: int,
-    pair_tol: float = PAIR_TOL,
-) -> list[PeriodicOrbit]:
+def classify_orbits(map_spec: RationalMapSpec, points, n: int) -> list[PeriodicOrbit]:
     """Group fixed points of f^n into cycles with least period m | n.
 
     Forward images are matched against the input list at the pairing
@@ -353,9 +323,9 @@ def classify_orbits(
     tree = cKDTree(np.column_stack([pts.real, pts.imag]))
     dist, idx = tree.query(np.column_stack([images.real, images.imag]), k=1)
     worst = float(np.nanmax(dist)) if dist.size else 0.0
-    if not np.all(np.isfinite(dist)) or worst > pair_tol:
+    if not np.all(np.isfinite(dist)) or worst > PAIR_TOL:
         raise OrbitMatchingError(
-            f"forward image missed the point list by {worst:.3e} (tol {pair_tol:.1e})"
+            f"forward image missed the point list by {worst:.3e} (tol {PAIR_TOL:.1e})"
         )
     if np.unique(idx).size != pts.size:
         raise OrbitMatchingError("forward images collide; point list is not a census level")
@@ -403,19 +373,44 @@ def classify_orbits(
     return out
 
 
+def _least_first(ring: np.ndarray) -> np.ndarray:
+    """A ring, whose row j holds the j-th points of its cycles, with every
+    column rotated to start at its lexicographically least point."""
+    k, cycles = ring.shape
+    start = np.lexsort((ring.imag, ring.real), axis=0)[0]
+    return ring[(start + np.arange(k)[:, None]) % k, np.arange(cycles)]
+
+
+def _ring_orbits(map_spec: RationalMapSpec, ring: np.ndarray) -> list[PeriodicOrbit]:
+    """One primitive record per cycle of a ring, keyed by its first row.
+
+    log|multiplier| and the holonomy angle are the sums of log|f'| and
+    arg f' down each column; a cycle through a critical point gets -inf and
+    0.0, as in classify_orbits.
+    """
+    fp = derivative_values(map_spec, ring)
+    mag = np.abs(fp)
+    with np.errstate(divide="ignore"):
+        log_abs = np.where(mag < DERIV_FLOOR, -np.inf, np.log(mag)).sum(axis=0)
+    theta = np.arctan2(fp.imag, fp.real).sum(axis=0) % TWO_PI
+    return [
+        PeriodicOrbit(
+            period=ring.shape[0], representative=complex(z), log_abs_multiplier=float(r),
+            holonomy_angle=0.0 if r == -np.inf else float(t), primitive=True,
+            repelling=bool(r > 0.0),
+        )
+        for z, r, t in zip(ring[0], log_abs, theta)
+    ]
+
+
 # ---- critical cycle registry ----------------------------------------------
 
-def _register_critical_cycles(
-    map_spec: RationalMapSpec,
-    db: OrbitDatabase,
-    override_hyperbolicity: bool,
-):
+def _register_critical_cycles(map_spec: RationalMapSpec, db: OrbitDatabase):
     """Probe once per database: verdict plus the non-repelling sidecar."""
     if db.hyperbolicity is not None:
         return
     report = hyperbolicity_probe(map_spec)
     db.hyperbolicity = report.verdict
-    _PROBE_CACHE[map_spec.fingerprint] = report.verdict
     for status in report.critical_orbit_summary:
         if status.status != "attracting-cycle" or status.period is None:
             continue
@@ -423,18 +418,10 @@ def _register_critical_cycles(
         w = complex(status.point)
         for _ in range(600):
             w = maps_mod.evaluate(map_spec, w)
-        w = complex(newton_polish(map_spec, np.asarray([w]), status.period)[0])
-        cycle_pts = []
-        c = w
-        for _ in range(status.period):
-            cycle_pts.append(c)
-            c = maps_mod.evaluate(map_spec, c)
-        cyc = np.asarray(cycle_pts, dtype=complex)
-        orbs = classify_orbits(map_spec, cyc, status.period)
-        for orb in orbs:
-            if orb.repelling:
-                continue
-            _merge_nonrepelling(db, replace(orb, primitive=True))
+        w = newton_polish(map_spec, np.asarray([w]), status.period)
+        for orb in _ring_orbits(map_spec, _least_first(_forward_orbit(map_spec, w, status.period))):
+            if not orb.repelling:
+                _merge_nonrepelling(db, orb)
     total_nonrep = sum(len(e.nonrepelling) for e in db.entries.values())
     bound = 2 * map_spec.degree - 2
     if total_nonrep > bound:
@@ -467,78 +454,85 @@ def enumerate_primitive(
     override_hyperbolicity: bool = False,
     roots_cap: int = ROOTS_CAP,
 ) -> list[PeriodicOrbit]:
-    """Primitive orbits of period n, enumerating divisors as needed.
+    """Complete every missing period 1..n; return the primitive orbits of period n.
 
-    The period entry is marked complete only when the integer census
-    identity holds; otherwise IncompleteCensusError is raised and nothing
-    is recorded for period n.
+    The backward route reads the missing periods off one pass over the
+    preimage tree, one record per emitted cycle.  roots and both go level
+    by level: each level's fixed points are grouped into cycles, and the
+    non-primitive ones must reproduce the divisor censuses.  A period entry
+    is marked complete only when the integer census identity holds;
+    otherwise IncompleteCensusError is raised, the periods below stay
+    complete, and nothing is recorded for the failing one.
     """
     if db.map_fingerprint != map_spec.fingerprint:
         raise FingerprintMismatchError(
             f"database fingerprint {db.map_fingerprint} does not match map "
             f"{map_spec.fingerprint}"
         )
-    ent = db.entries.get(n)
-    if ent is not None and ent.complete:
-        return list(ent.orbits)
-    _register_critical_cycles(map_spec, db, override_hyperbolicity)
-    for m in divisors(n)[:-1]:
-        enumerate_primitive(
-            map_spec, m, db, method=method,
-            override_hyperbolicity=override_hyperbolicity, roots_cap=roots_cap,
-        )
+    missing = [m for m in range(1, n + 1) if not (m in db.entries and db.entries[m].complete)]
+    if missing:
+        _register_critical_cycles(map_spec, db)
+        requested = "backward" if method == "auto" else method
+        if requested in ("backward", "both") and not override_hyperbolicity:
+            _require_hyperbolic(db.hyperbolicity)
+        if requested == "backward":
+            for k, ring in _tree_cycles(map_spec, missing):
+                _complete_entry(map_spec, db, k, _ring_orbits(map_spec, ring), requested)
+        else:
+            for k in missing:
+                orbs = _classified_level(map_spec, db, k, requested, roots_cap)
+                _complete_entry(map_spec, db, k, orbs, requested)
+    return list(db.entries[n].orbits)
 
-    expected_total = expected_fixed_count(map_spec, n)
-    requested = "backward" if method == "auto" else method
-    pts = fixed_points(
-        map_spec, n, method=requested, roots_cap=roots_cap,
-        override_hyperbolicity=override_hyperbolicity or db.hyperbolicity == "hyperbolic-evidence",
-    )
-    cycles = classify_orbits(map_spec, pts, n, pair_tol=db.tolerances["pairing"])
 
-    new_rep = [c for c in cycles if c.period == n and c.repelling]
+def _classified_level(
+    map_spec: RationalMapSpec, db: OrbitDatabase, n: int, method: str, roots_cap: int
+) -> list[PeriodicOrbit]:
+    """Primitive repelling n-cycles from the fixed points of f^n, grouped by
+    forward matching; primitive non-repelling ones join the sidecar."""
+    pts = fixed_points(map_spec, n, method=method, roots_cap=roots_cap, override_hyperbolicity=True)
+    cycles = classify_orbits(map_spec, pts, n)
     for c in cycles:
         if c.period == n and not c.repelling:
             _merge_nonrepelling(db, c)
 
     # non-primitive cycles must reproduce the divisor censuses
     for m in divisors(n)[:-1]:
+        got_non = sum(1 for c in cycles if c.period == m and not c.repelling)
+        want_non = len(db.entries[m].nonrepelling)
+        if got_non != want_non:
+            raise IncompleteCensusError(
+                f"period {m} non-repelling cycles: found {got_non}, census has {want_non}"
+            )
         got = sum(1 for c in cycles if c.period == m and c.repelling)
         want = len(db.entries[m].orbits)
-        if requested != "backward":
-            got_non = sum(1 for c in cycles if c.period == m and not c.repelling)
-            want_non = len(db.entries[m].nonrepelling)
-            if got_non != want_non:
-                raise IncompleteCensusError(
-                    f"period {m} non-repelling cycles: found {got_non}, census has {want_non}"
-                )
         if got != want:
             raise IncompleteCensusError(
                 f"period {m} repelling cycles seen at level {n}: {got} vs census {want}"
             )
+    return [c for c in cycles if c.period == n and c.repelling]
 
-    stub = db.entries.get(n) or PeriodEntry(period=n)
-    entry = PeriodEntry(
-        period=n,
-        orbits=tuple(
-            sorted(new_rep, key=lambda o: (o.representative.real, o.representative.imag))
-        ),
-        nonrepelling=stub.nonrepelling,
-        complete=False,
-        method=requested,
-    )
-    db._set_entry(entry)
 
-    rep_total = sum(m * len(db.entries[m].orbits) for m in divisors(n))
+def _complete_entry(
+    map_spec: RationalMapSpec, db: OrbitDatabase, n: int, orbs: list[PeriodicOrbit], method: str
+):
+    """Record period n's repelling cycles once the census identity holds."""
+    rep_total = n * len(orbs) + sum(m * len(db.entries[m].orbits) for m in divisors(n)[:-1])
     nonrep_total = db.nonrepelling_level_count(n)
+    expected_total = expected_fixed_count(map_spec, n)
     if rep_total + nonrep_total != expected_total:
-        db.entries.pop(n, None)
         raise IncompleteCensusError(
             f"census failed at n = {n}: {rep_total} repelling + {nonrep_total} "
             f"non-repelling != {expected_total}"
         )
-    db._set_entry(replace(entry, complete=True))
-    return list(entry.orbits)
+    stub = db.entries.get(n) or PeriodEntry(period=n)
+    orbs = sorted(orbs, key=lambda o: (o.representative.real, o.representative.imag))
+    db._set_entry(
+        PeriodEntry(
+            period=n, orbits=tuple(orbs), nonrepelling=stub.nonrepelling, complete=True,
+            method=method,
+        )
+    )
 
 
 def census_counts(map_spec: RationalMapSpec, db: OrbitDatabase, n: int) -> tuple[int, int, int]:
@@ -664,7 +658,10 @@ def _newton_cycles(map_spec: RationalMapSpec, starts: np.ndarray, k: int):
     """Newton on f^k(z) = z from each start.
 
     Returns (z, multiplier, ok): ok marks the limits that close up, have
-    least period k, and repel.
+    least period k, and repel.  A limit closes up when its Newton step
+    |F/F'| is below 1e-12 (1 + |z|).  The raw residual |F| is that step
+    times |(f^k)' - 1|, so on cycles with a large multiplier it rejects
+    limits that sit on the cycle to roundoff.
     """
     z = np.array(starts, dtype=complex)
     active = np.ones(z.size, dtype=bool)
@@ -680,7 +677,9 @@ def _newton_cycles(map_spec: RationalMapSpec, starts: np.ndarray, k: int):
         done = bad | (np.abs(step) <= 1e-14 * (1.0 + np.abs(z[idx])))
         active[idx[done]] = False
     f_val, df_val, bad = fn_shift(map_spec, z, k)
-    ok = ~bad & (np.abs(f_val) < 1e-9 * (1.0 + np.abs(z))) & (np.abs(df_val + 1.0) > 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.abs(f_val / df_val)
+    ok = ~bad & (step < 1e-12 * (1.0 + np.abs(z))) & (np.abs(df_val + 1.0) > 1.0)
     closed = np.nonzero(ok)[0]
     ring = _forward_orbit(map_spec, z[closed], k)
     for m in divisors(k)[:-1]:
@@ -699,13 +698,18 @@ def _name_cycles(map_spec: RationalMapSpec, z: np.ndarray, k: int):
     ring = _forward_orbit(map_spec, pts, k)
     first = np.lexsort((ring.imag, ring.real), axis=0)[0]
     least = ring[first, np.arange(pts.size)]
-    reps = _dedup(least)
+    # one Newton polish per named point: least points read off the raw
+    # forward orbit drift apart by more than the pairing tolerance, and on
+    # cycles with a large multiplier Newton needs more than a few steps
+    reps = _dedup(newton_polish(map_spec, _dedup(least), k, iters=WALK_NEWTON_ITERS))
     # least points that tie in roundoff can name one cycle twice: keep the
     # lowest-index name among the names each cycle's orbit passes through
     tree = cKDTree(np.column_stack([reps.real, reps.imag]))
     rep_ring = _forward_orbit(map_spec, reps, k).ravel()
-    dist, near = tree.query(np.column_stack([rep_ring.real, rep_ring.imag]), k=1)
-    near = np.where(dist <= 1e-8 * (1.0 + np.abs(rep_ring)), near, reps.size)
+    tol = 1e-8 * (1.0 + np.abs(rep_ring))
+    xy = np.column_stack([rep_ring.real, rep_ring.imag])
+    dist, near = tree.query(xy, k=1, distance_upper_bound=tol.max(initial=0.0))
+    near = np.where(dist <= tol, near, reps.size)
     label = near.reshape(k, reps.size).min(axis=0)
     heads = np.nonzero(label == np.arange(reps.size))[0]
     slot = np.full(reps.size, -1, dtype=np.int64)
@@ -737,6 +741,41 @@ def _level_cycles(map_spec: RationalMapSpec, levels, parents, k: int):
     out = np.zeros(reps.size, dtype=complex)
     out[hit[ok]] = mult[ok]
     return hit, reps, out
+
+
+def _tree_cycles(map_spec: RationalMapSpec, depths):
+    """Primitive repelling cycles of the given periods, from one pass over
+    the unpruned preimage tree.
+
+    Yields (k, ring) for each depth k in depths, in increasing order: ring
+    has shape (k, cycles), and column c holds one k-cycle in cycle order
+    from its least point, every point polished on f^k.  Plain forward
+    iteration multiplies roundoff by the partial multipliers, which grow
+    large along many cycles; polishing each point keeps the ring on its
+    cycle.  The polished image of each ring's last
+    point must come back to its first within the pairing tolerance, or
+    OrbitMatchingError is raised.
+    """
+    wanted = set(depths)
+    top = max(wanted)
+    for k, levels, parents, _ in _tree_levels(map_spec, math.inf):
+        if k in wanted:
+            _, z, _ = _level_cycles(map_spec, levels, parents, k)
+            rows = []
+            for _ in range(k):
+                z = newton_polish(map_spec, z, k)
+                rows.append(z)
+                z = map_values(map_spec, z)
+            ring = np.array(rows)
+            miss = np.abs(newton_polish(map_spec, z, k) - ring[0])
+            worst = float(np.max(np.nan_to_num(miss, nan=np.inf), initial=0.0))
+            if worst > PAIR_TOL:
+                raise OrbitMatchingError(
+                    f"a period-{k} ring fails to close by {worst:.3e} (tol {PAIR_TOL:.1e})"
+                )
+            yield k, _least_first(ring)
+        if k == top:
+            return
 
 
 @dataclass(frozen=True)
@@ -928,7 +967,6 @@ def save_db(db: OrbitDatabase, path):
             {
                 "version": DB_VERSION,
                 "fingerprint": db.map_fingerprint,
-                "tolerances": db.tolerances,
                 "hyperbolicity": db.hyperbolicity,
             },
             sort_keys=True,
@@ -964,16 +1002,14 @@ def load_db(path, map_spec: RationalMapSpec | None = None) -> OrbitDatabase:
     version = header.get("version") if isinstance(header, dict) else None
     if version != DB_VERSION:
         raise VersionMismatchError(f"{path}: cache version {version!r}, expected {DB_VERSION}")
-    if map_spec is not None and header["fingerprint"] != map_spec.fingerprint:
+    fingerprint = header.get("fingerprint")
+    if not isinstance(fingerprint, str):
+        raise VersionMismatchError(f"{path}: cache header carries no map fingerprint")
+    if map_spec is not None and fingerprint != map_spec.fingerprint:
         raise FingerprintMismatchError(
-            f"{path}: cache fingerprint {header['fingerprint']} does not match "
-            f"map {map_spec.fingerprint}"
+            f"{path}: cache fingerprint {fingerprint} does not match map {map_spec.fingerprint}"
         )
-    db = OrbitDatabase(
-        map_fingerprint=header["fingerprint"],
-        tolerances=dict(header.get("tolerances", DEFAULT_TOLERANCES)),
-        hyperbolicity=header.get("hyperbolicity"),
-    )
+    db = OrbitDatabase(map_fingerprint=fingerprint, hyperbolicity=header.get("hyperbolicity"))
     meta: dict[int, dict] = {}
     grouped: dict[int, dict[str, list[PeriodicOrbit]]] = {}
     for lineno, line in raw[1:]:

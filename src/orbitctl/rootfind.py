@@ -72,16 +72,26 @@ def residuals(map_spec: RationalMapSpec, z: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _repulsion(z_all: np.ndarray, rows: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """S_i = sum_j 1/(z_i - z_j) over all j != i, for the selected rows."""
+def _repulsion(z_all: np.ndarray, rows: np.ndarray, chunk: int = 32) -> np.ndarray:
+    """S_i = sum_j 1/(z_i - z_j) over all j != i, for the selected rows.
+
+    Each term is conj(d)/|d|^2 in real arithmetic, which avoids complex
+    division, over blocks of rows small enough to stay in cache.
+    """
+    x, y = z_all.real.copy(), z_all.imag.copy()
     out = np.empty(rows.size, dtype=complex)
     for start in range(0, rows.size, chunk):
         sel = rows[start:start + chunk]
-        diff = z_all[sel][:, None] - z_all[None, :]
+        dx = np.subtract.outer(x[sel], x)
+        dy = np.subtract.outer(y[sel], y)
+        w = dx * dx
+        w += dy * dy
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / diff
-        inv[~np.isfinite(inv)] = 0.0  # kills the self term
-        out[start:start + chunk] = inv.sum(axis=1)
+            np.divide(1.0, w, out=w)
+        w[~np.isfinite(w)] = 0.0  # kills the self term
+        dx *= w
+        dy *= w
+        out[start:start + chunk] = dx.sum(axis=1) - 1j * dy.sum(axis=1)
     return out
 
 

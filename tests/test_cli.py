@@ -271,9 +271,8 @@ def test_owcount_csv(capsys, tmp_path, square_file):
     )
     assert code == 0
     table = rows_of(out)
-    assert table[0] == ["threshold", "count", "li", "ratio", "truncated"]
+    assert table[0] == ["threshold", "count", "li", "ratio"]
     assert [int(r[1]) for r in table[1:]] == [1, 2, 7]
-    assert all(r[4] == "0" for r in table[1:])
 
 
 def test_decay_csv(capsys, tmp_path, basilica_file):

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from orbitctl import counting, thermo, windows
 from orbitctl.counting import CountQuery
-from orbitctl.errors import DomainError, TruncationError
+from orbitctl.errors import DomainError
 from orbitctl.thermo import ThermoProfile
 
 LOG2 = math.log(2.0)
@@ -282,74 +282,29 @@ def test_logarithmic_integral_values():
         counting.logarithmic_integral(1.5)
 
 
-def test_ow_count_square_closed_form(square_db):
-    # level-n multipliers of the doubling map all sit at 2^n, so thresholds
-    # between consecutive powers give exact necklace partial sums
-    res = counting.ow_count(square_db, 20.0)
-    assert res.count == 1 + 1 + 2 + 3 and not res.truncated
-    assert counting.ow_count(square_db, 3.0).count == 1
-    assert counting.ow_count(square_db, 6.0).count == 2
-    counts = [counting.ow_count(square_db, t).count for t in (3.0, 6.0, 20.0, 100.0)]
-    assert counts == sorted(counts)
-    with pytest.raises(DomainError):
-        counting.ow_count(square_db, 0.0)
-
-
-def test_ow_count_truncation(ctx):
-    from orbitctl import orbits as orb_mod
-
-    spec = ctx.spec("square")
-    small = orb_mod.OrbitDatabase.for_map(spec)
-    for n in range(1, 5):
-        orb_mod.enumerate_primitive(spec, n, small)
-    with pytest.raises(TruncationError):
-        counting.ow_count(small, 64.0)
-    res = counting.ow_count(small, 64.0, allow_truncated=True)
-    assert res.truncated and res.count == 7 and res.max_period == 4
-
-
-def test_ow_count_flags_weak_long_orbits(ctx):
-    # multiplier size does not order basilica orbits by period: the least
-    # log|lambda| is 2.079 at period 3 but 1.517 at period 4, and period 2
-    # holds no repelling orbit at all
-    from orbitctl import orbits as orb_mod
-
-    spec = ctx.spec("basilica")
-    db = orb_mod.OrbitDatabase.for_map(spec)
-    orb_mod.enumerate_primitive(spec, 2, db)
-    with pytest.raises(TruncationError):
-        counting.ow_count(db, 1000.0)
-    res = counting.ow_count(db, 1000.0, allow_truncated=True)
-    assert res.truncated and res.count == 2
-    orb_mod.enumerate_primitive(spec, 3, db)
-    t = math.exp(1.8)
-    with pytest.raises(TruncationError):
-        counting.ow_count(db, t)
-    res = counting.ow_count(db, t, allow_truncated=True)
-    assert res.truncated and res.count == 2
-    orb_mod.enumerate_primitive(spec, 4, db)
-    res = counting.ow_count(db, t, allow_truncated=True)
-    assert res.count == 3
-
-
 def test_li_table_from_map_counts_past_census(basilica, basilica_db14):
-    # the certified walk finds the period-4 orbit below e^1.8 that a short
-    # census misses, and never reports a truncated row
+    # multiplier size does not order basilica orbits by period: the least
+    # log|lambda| is 2.079 at period 3 but 1.517 at period 4, so the walk
+    # must find the period-4 orbit below e^1.8
     rep = counting.li_table(basilica_db14, (math.exp(1.8), 20.0), delta=1.0, map_spec=basilica)
     assert rep.rows[0].count == 3
     # below 20 the walk finds no orbit beyond the period-14 census
-    assert rep.rows[1].count == counting.ow_count(basilica_db14, 20.0).count
-    assert not any(row.truncated for row in rep.rows)
+    census = sum(
+        1
+        for m in range(1, 15)
+        for o in basilica_db14.primitive_orbits(m)
+        if o.log_abs_multiplier < math.log(20.0)
+    )
+    assert rep.rows[1].count == census
     assert rep.rows[0].max_period == 4
     assert rep.slack > 0
 
 
-def test_li_table_square(square_db):
-    rep = counting.li_table(square_db, (6.0, 20.0), delta=1.0)
+def test_li_table_square(square, square_db):
+    rep = counting.li_table(square_db, (6.0, 20.0), delta=1.0, map_spec=square)
     assert [row.threshold for row in rep.rows] == [6.0, 20.0]
     assert [row.count for row in rep.rows] == [2, 7]
     for row in rep.rows:
-        assert not row.truncated
         assert row.li_value == pytest.approx(
             counting.logarithmic_integral(row.threshold), rel=1e-12
         )

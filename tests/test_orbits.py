@@ -69,6 +69,36 @@ def test_backward_closes_deep_levels(basilica):
     assert sum(1 for c in cycles if c.period == 16) == (2**16 - 2**8) // 16
 
 
+def test_backward_census_walks_the_tree_once(basilica, monkeypatch):
+    # the census and the hyperbolicity probe each make one tree pass, and
+    # each pass runs the cycle finder once per requested depth
+    calls = {"_tree_levels": 0, "_level_cycles": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(orbits, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(orbits, name, counted)
+    # cycles come off the tree whole: no regrouping of points
+    monkeypatch.setattr(orbits, "classify_orbits", None)
+    db = orbits.OrbitDatabase.for_map(basilica)
+    orbits.enumerate_primitive(basilica, 8, db)
+    assert calls == {"_tree_levels": 2, "_level_cycles": 8 + 6}
+    assert db.max_complete_period() == 8
+    # completed periods are not searched again
+    orbits.enumerate_primitive(basilica, 10, db)
+    assert calls == {"_tree_levels": 3, "_level_cycles": 16}
+
+
+def test_basilica_census_certifies_period_18(basilica):
+    # a raw residual |F| below 1e-9 (1 + |z|) rejects every point of four
+    # primitive 18-cycles with large multipliers; their Newton steps |F/F'|
+    # are below 1e-12 (1 + |z|)
+    db = orbits.OrbitDatabase.for_map(basilica)
+    orbits.enumerate_primitive(basilica, 18, db)
+    assert db.max_complete_period() == 18
+    assert len(db.primitive_orbits(18)) == (2**18 - 2**9 - 2**6 + 2**3) // 18 == 14532
+
+
 def test_backward_requires_hyperbolicity_evidence():
     close = maps.RationalMapSpec(numerator=(0.26, 0.0, 1.0), denominator=(1.0,))
     with pytest.raises(MathDomainError, match="inconclusive"):
@@ -183,6 +213,17 @@ def test_load_rejects_foreign_map(tmp_path, square, basilica_db):
         orbits.load_db(path, square)
 
 
+def test_load_accepts_header_with_tolerances(tmp_path, basilica, basilica_db):
+    # caches written before the tolerances field was dropped still load
+    path = tmp_path / "census.jsonl"
+    orbits.save_db(basilica_db, path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["tolerances"] = {"pairing": 1e-9, "newton": 1e-13, "closure": 1e-9}
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    assert orbits.load_db(path, basilica).max_complete_period() == basilica_db.max_complete_period()
+
+
 def _future_version(lines):
     header = json.loads(lines[0])
     header["version"] += 99
@@ -193,10 +234,20 @@ def _truncated_last_line(lines):
     return lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]
 
 
+def _no_fingerprint(lines):
+    header = json.loads(lines[0])
+    del header["fingerprint"]
+    return [json.dumps(header)] + lines[1:]
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
-    [(_future_version, "cache version 100"), (_truncated_last_line, "corrupted line")],
-    ids=["future-version", "truncated-line"],
+    [
+        (_future_version, "cache version 100"),
+        (_truncated_last_line, "corrupted line"),
+        (_no_fingerprint, "no map fingerprint"),
+    ],
+    ids=["future-version", "truncated-line", "no-fingerprint"],
 )
 def test_load_rejects_corrupt_cache(tmp_path, basilica, basilica_db, corrupt, message):
     path = tmp_path / "census.jsonl"
@@ -271,6 +322,14 @@ def test_walk_matches_census_per_period(basilica, basilica_walk, basilica_db14, 
         dist, idx = cKDTree(np.c_[points.real, points.imag]).query(np.c_[walked.real, walked.imag])
         assert dist.max() < 1e-9, m
         assert len(set(idx % ring[0].size)) == ring[0].size, m
+
+
+def test_walk_names_each_cycle_once(basilica_walk):
+    # each cycle is named by its polished least point; names read off the
+    # raw forward orbit gave one period-23 cycle two names 1.09e-9 apart
+    for m in np.unique(basilica_walk.periods):
+        reps = basilica_walk.representatives[basilica_walk.periods == m]
+        assert not cKDTree(np.c_[reps.real, reps.imag]).query_pairs(1e-8), m
 
 
 def test_walk_slack_comes_from_census(basilica, basilica_db14, basilica_walk):

@@ -41,6 +41,16 @@ def test_newton_polish_recovers_perturbed_roots(square):
     assert np.abs(sorted_points(polished) - sorted_points(exact)).max() < 1e-12
 
 
+def test_repulsion_matches_direct_sum():
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    z[11] = z[7]  # a coincident point adds nothing, like the point itself
+    rows = np.array([0, 7, 11, 150, 299])
+    want = np.array([sum(1.0 / (z[i] - w) for w in z if w != z[i]) for i in rows])
+    got = rootfind._repulsion(z, rows)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_fn_shift_flags_escaping_points(square):
     f_val, df_val, bad = rootfind.fn_shift(square, np.array([1e200 + 0j, 0.5 + 0j]), 3)
     assert bad[0] and not bad[1]
