@@ -9,9 +9,7 @@ from .errors import (
 )
 from .maps import (
     RationalMapSpec,
-    birkhoff_sums,
     cycle_multiplier,
-    distortion_rotation,
     hyperbolicity_probe,
     load_map,
 )
@@ -33,7 +31,6 @@ from .thermo import (
 from .transfer import build_mesh, decay_probe, dimension_from_mesh, normalize
 from .counting import (
     CountQuery,
-    convergence_report,
     count_orbits,
     li_table,
     logarithmic_integral,
@@ -48,9 +45,7 @@ __version__ = "0.1.0"
 __all__ = [
     "RationalMapSpec",
     "load_map",
-    "birkhoff_sums",
     "cycle_multiplier",
-    "distortion_rotation",
     "hyperbolicity_probe",
     "OrbitDatabase",
     "PeriodicOrbit",
@@ -75,7 +70,6 @@ __all__ = [
     "predicted_count",
     "smoothed_count",
     "weyl_sums",
-    "convergence_report",
     "li_table",
     "logarithmic_integral",
     "OrbitctlError",

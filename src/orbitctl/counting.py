@@ -17,7 +17,7 @@ the maximal-entropy point xi = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -280,43 +280,3 @@ def li_table(
     trend_ok = all(b <= a + 1e-12 for a, b in zip(top, top[1:])) if len(top) >= 2 else True
     return LiReport(rows=tuple(rows), delta=delta, trend_ok=trend_ok,
                     slack=None if walk is None else walk.slack)
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    count: int
-    prediction: float
-    ratio: float | None
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    rows: tuple[ConvergenceRow, ...]
-    trend_ok: bool
-
-
-def convergence_report(
-    db: OrbitDatabase,
-    profile: ThermoProfile,
-    query_template: CountQuery,
-    n_range,
-) -> ConvergenceReport:
-    """Sharp count next to its prediction over a level range.
-
-    The template's window travels unchanged across levels; only n moves.
-    Rows with prediction 0 carry ratio None and stay out of the trend
-    check.  trend_ok reports whether |ratio - 1| is non-increasing over
-    the top half of the range; it is an indicator, not a guarantee.
-    """
-    rows = []
-    for n in n_range:
-        q = replace(query_template, n=int(n))
-        count = count_orbits(db, q)
-        pred = predicted_count(profile, q)
-        ratio = count / pred if pred > 0 else None
-        rows.append(ConvergenceRow(n=int(n), count=count, prediction=pred, ratio=ratio))
-    gaps = [abs(r.ratio - 1.0) for r in rows if r.ratio is not None]
-    top = gaps[len(gaps) // 2 :]
-    trend_ok = all(b <= a + 1e-12 for a, b in zip(top, top[1:])) if len(top) >= 2 else True
-    return ConvergenceReport(rows=tuple(rows), trend_ok=trend_ok)

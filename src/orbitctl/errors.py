@@ -39,10 +39,6 @@ class PoleError(MathDomainError):
     """Evaluation too close to a pole of the map."""
 
 
-class CriticalPointError(MathDomainError):
-    """log|f'| or arg f' requested at a (numerical) critical point."""
-
-
 class NotPeriodicError(MathDomainError):
     """cycle_multiplier called on a point that does not close up."""
 

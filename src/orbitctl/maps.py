@@ -2,9 +2,10 @@
 
 A map f = P/Q is stored as two ascending complex coefficient lists.  The
 quantities everything downstream consumes are the distortion r(z) = log|f'(z)|
-and the rotation theta(z) = arg f'(z), together with their Birkhoff sums along
-orbits.  Angles returned to callers live in [0, 2*pi); per-step summands use
-the principal value in (-pi, pi], and only values mod 2*pi are contractual.
+and the rotation theta(z) = arg f'(z), summed along cycles into the
+multiplier's log-modulus and holonomy angle.  Angles returned to callers live
+in [0, 2*pi); per-step summands use the principal value in (-pi, pi], and
+only values mod 2*pi are contractual.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    CriticalPointError,
     MathDomainError,
     NotPeriodicError,
     PoleError,
@@ -35,6 +35,11 @@ DERIV_FLOOR = 1e-12
 # minimal log-multiplier rate demanded before expansion evidence is reported;
 # maps closer to a parabolic transition than this are left inconclusive
 RATE_FLOOR = 0.05
+
+# critical-orbit steps the hyperbolicity probe takes, and the periods whose
+# repelling cycles it samples for the expansion envelope
+PROBE_ITERS = 400
+PROBE_PERIODS = (1, 2, 3, 4, 5, 6)
 
 
 def _trimmed(coeffs) -> tuple[complex, ...]:
@@ -185,51 +190,11 @@ def derivative_values(map_spec: RationalMapSpec, z: np.ndarray) -> np.ndarray:
     return np.where(np.abs(qv) < POLE_FLOOR, np.nan + 0j, out)
 
 
-def distortion_rotation(map_spec: RationalMapSpec, z: complex) -> tuple[float, float]:
-    """(r, theta) = (log|f'(z)|, arg f'(z)) with theta in [0, 2*pi)."""
-    fp = derivative(map_spec, z)
-    mag = abs(fp)
-    if mag < DERIV_FLOOR:
-        raise CriticalPointError(f"|f'(z)| = {mag:.3e} at z = {z}")
-    return math.log(mag), _wrap_half_open(math.atan2(fp.imag, fp.real))
-
-
-def birkhoff_sums(map_spec: RationalMapSpec, z: complex, n: int) -> tuple[float, float]:
-    """(r^n(z), theta^n(z)): sums of log|f'| and arg f' along z, f(z), ...
-
-    The rotation sum is lifted with the principal value (-pi, pi] at each
-    step, so the return is a particular real lift; only its value mod 2*pi
-    is meaningful to callers.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    w = complex(z)
-    r_total = 0.0
-    t_total = 0.0
-    for j in range(n):
-        try:
-            fp = derivative(map_spec, w)
-        except PoleError as exc:
-            raise PoleError(f"orbit index {j}: {exc}") from None
-        mag = abs(fp)
-        if mag < DERIV_FLOOR:
-            raise CriticalPointError(f"orbit index {j}: |f'| = {mag:.3e} at z = {w}")
-        r_total += math.log(mag)
-        t_total += math.atan2(fp.imag, fp.real)
-        w = evaluate(map_spec, w)
-    return r_total, t_total
-
-
-def cycle_multiplier(
-    map_spec: RationalMapSpec,
-    z: complex,
-    n: int,
-    closure_tol: float = 1e-6,
-) -> tuple[float, float]:
+def cycle_multiplier(map_spec: RationalMapSpec, z: complex, n: int) -> tuple[float, float]:
     """(log|multiplier|, holonomy angle in [0, 2*pi)) of a period-n point.
 
     Raises NotPeriodicError when f^n(z) does not return to z within
-    closure_tol, and SuperattractingError when the cycle runs through a
+    1e-6 (1 + |z|), and SuperattractingError when the cycle runs through a
     critical point.  The log data is cross-checked against the direct
     chain-rule product of f' along the orbit.
     """
@@ -248,7 +213,7 @@ def cycle_multiplier(
         t_total += math.atan2(fp.imag, fp.real)
         prod *= fp
         w = evaluate(map_spec, w)
-    if abs(w - z) > closure_tol * (1.0 + abs(z)):
+    if abs(w - z) > 1e-6 * (1.0 + abs(z)):
         raise NotPeriodicError(f"|f^{n}(z) - z| = {abs(w - z):.3e} at z = {z}")
     recon = math.exp(r_total) * complex(math.cos(t_total), math.sin(t_total))
     if abs(recon - prod) > 1e-9 * abs(prod):
@@ -312,12 +277,11 @@ class HyperbolicityReport:
 def _critical_orbit_status(
     map_spec: RationalMapSpec,
     z0: complex,
-    max_iter: int,
     esc_radius: float | None,
 ) -> CriticalOrbitStatus:
     orbit = [complex(z0)]
     w = complex(z0)
-    for _ in range(max_iter):
+    for _ in range(PROBE_ITERS):
         try:
             w = evaluate(map_spec, w)
         except PoleError:
@@ -329,7 +293,7 @@ def _critical_orbit_status(
         orbit.append(w)
 
     # scan the tail for a near-return and refine the candidate cycle
-    p_max = min(64, max_iter // 4)
+    p_max = min(64, PROBE_ITERS // 4)
     tail = orbit[-(p_max + 1):]
     period = None
     for p in range(1, len(tail)):
@@ -360,32 +324,27 @@ def _critical_orbit_status(
     return CriticalOrbitStatus(z0, status, period=period, multiplier_abs=mag)
 
 
-def hyperbolicity_probe(
-    map_spec: RationalMapSpec,
-    max_iter: int = 400,
-    sample_periods: tuple[int, ...] = (1, 2, 3, 4, 5, 6),
-    rate_floor: float = RATE_FLOOR,
-) -> HyperbolicityReport:
+def hyperbolicity_probe(map_spec: RationalMapSpec) -> HyperbolicityReport:
     """Iterate critical orbits and fit a lower expansion envelope.
 
     The fitted pair (c-hat, gamma-hat) satisfies
     log|multiplier(tau)| >= log c-hat + period(tau) * log gamma-hat for every
     sampled repelling orbit.  The verdict is hyperbolic-evidence only when
     every critical orbit resolves to an attracting cycle or escapes and the
-    minimal log-multiplier rate clears rate_floor.
+    minimal log-multiplier rate clears RATE_FLOOR.
     """
     from . import orbits  # local import; orbits builds on this module
 
     esc = escape_radius(map_spec)
     summary = tuple(
-        _critical_orbit_status(map_spec, z0, max_iter, esc)
+        _critical_orbit_status(map_spec, z0, esc)
         for z0 in critical_points(map_spec)
     )
 
     # repelling cycles of the sampled periods, from one preimage-tree pass
     samples: list[tuple[int, float]] = []
     try:
-        for p, ring in orbits._tree_cycles(map_spec, sample_periods):
+        for p, ring in orbits._tree_cycles(map_spec, PROBE_PERIODS):
             samples += [(p, o.log_abs_multiplier) for o in orbits._ring_orbits(map_spec, ring)]
     except MathDomainError:
         pass
@@ -403,7 +362,7 @@ def hyperbolicity_probe(
         verdict = "fails"
     elif "undecided" in statuses or min_rate is None:
         verdict = "inconclusive"
-    elif min_rate <= rate_floor:
+    elif min_rate <= RATE_FLOOR:
         verdict = "inconclusive"
     else:
         verdict = "hyperbolic-evidence"

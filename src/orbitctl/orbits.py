@@ -54,7 +54,7 @@ from .maps import (
     hyperbolicity_probe,
     map_values,
 )
-from .rootfind import aberth_fixed_points, fn_shift, newton_polish, residuals
+from .rootfind import NEWTON_ITERS, aberth_fixed_points, fn_shift, newton_polish, residuals
 
 PAIR_TOL = 1e-9
 ROOTS_CAP = 4096
@@ -176,33 +176,6 @@ def _match_counts(a: np.ndarray, b: np.ndarray, tol: float = PAIR_TOL):
     return int(matched.sum()), float(dist[matched].max()) if matched.any() else 0.0
 
 
-def _forward_closure(
-    map_spec: RationalMapSpec,
-    points: np.ndarray,
-    n: int,
-    tol: float = PAIR_TOL,
-) -> np.ndarray:
-    """Close the set under f; images of fixed points are fixed points."""
-    pts = points
-    for _ in range(n):
-        if pts.size == 0:
-            break
-        images = map_values(map_spec, pts)
-        images = images[np.isfinite(images.real) & np.isfinite(images.imag)]
-        tree = cKDTree(np.column_stack([pts.real, pts.imag]))
-        dist, _ = tree.query(np.column_stack([images.real, images.imag]), k=1)
-        new = images[dist > tol]
-        if new.size == 0:
-            break
-        new = newton_polish(map_spec, new, n)
-        res = residuals(map_spec, new, n)
-        new = new[res < 1e-9 * (1.0 + np.abs(new))]
-        if new.size == 0:
-            break
-        pts = _dedup(np.concatenate([pts, new]), tol)
-    return pts
-
-
 def _finite_fixed_points(map_spec: RationalMapSpec) -> np.ndarray:
     """Roots of P(z) - z Q(z), the fixed points of f in the plane."""
     num = np.asarray(map_spec.numerator, dtype=complex)
@@ -248,14 +221,13 @@ def fixed_points(
     map_spec: RationalMapSpec,
     n: int,
     method: str = "auto",
-    roots_cap: int = ROOTS_CAP,
     override_hyperbolicity: bool = False,
 ) -> np.ndarray:
     """Fixed points of f^n, lexicographically sorted.
 
     method='backward' (and 'auto', its alias) returns the repelling points
     only, found on the preimage tree of any rational map; 'roots' returns
-    everything (non-repelling included) and is capped at d^n <= roots_cap;
+    everything (non-repelling included) and is capped at d^n <= ROOTS_CAP;
     'both' runs the two routes, demands that their repelling sets agree
     point for point at the pairing tolerance, and returns the union.
     """
@@ -268,12 +240,12 @@ def fixed_points(
         _require_hyperbolic(hyperbolicity_probe(map_spec).verdict)
 
     if method == "roots":
-        return _roots_route(map_spec, n, roots_cap)
+        return _roots_route(map_spec, n)
     if method == "backward":
         return _backward_route(map_spec, n)
     if method == "both":
         back = _backward_route(map_spec, n)
-        full = _roots_route(map_spec, n, roots_cap)
+        full = _roots_route(map_spec, n)
         deriv_mag = np.abs(1.0 + fn_shift(map_spec, full, n)[1])
         rep = full[deriv_mag > 1.0]
         m_ab, worst = _match_counts(back, rep)
@@ -288,16 +260,17 @@ def fixed_points(
     raise ValueError(f"unknown method '{method}'")
 
 
-def _roots_route(map_spec: RationalMapSpec, n: int, roots_cap: int) -> np.ndarray:
+def _roots_route(map_spec: RationalMapSpec, n: int) -> np.ndarray:
+    """Every fixed point of f^n that Aberth finds, with no repair: a point
+    it misses fails the census identity or both's point match."""
     count = expected_fixed_count(map_spec, n)
-    if count > roots_cap:
-        raise DegreeOverflowError(f"d^n = {count} exceeds roots cap {roots_cap}")
+    if count > ROOTS_CAP:
+        raise DegreeOverflowError(f"d^n = {count} exceeds roots cap {ROOTS_CAP}")
     radius = _init_radius(map_spec)
     pts = aberth_fixed_points(map_spec, n, count, radius)
     res = residuals(map_spec, pts, n)
     pts = pts[res < 1e-9 * (1.0 + np.abs(pts))]
-    pts = _dedup(pts)
-    return _forward_closure(map_spec, pts, n)
+    return _dedup(pts)
 
 
 def _backward_route(map_spec: RationalMapSpec, n: int) -> np.ndarray:
@@ -452,7 +425,6 @@ def enumerate_primitive(
     db: OrbitDatabase,
     method: str = "auto",
     override_hyperbolicity: bool = False,
-    roots_cap: int = ROOTS_CAP,
 ) -> list[PeriodicOrbit]:
     """Complete every missing period 1..n; return the primitive orbits of period n.
 
@@ -480,17 +452,17 @@ def enumerate_primitive(
                 _complete_entry(map_spec, db, k, _ring_orbits(map_spec, ring), requested)
         else:
             for k in missing:
-                orbs = _classified_level(map_spec, db, k, requested, roots_cap)
+                orbs = _classified_level(map_spec, db, k, requested)
                 _complete_entry(map_spec, db, k, orbs, requested)
     return list(db.entries[n].orbits)
 
 
 def _classified_level(
-    map_spec: RationalMapSpec, db: OrbitDatabase, n: int, method: str, roots_cap: int
+    map_spec: RationalMapSpec, db: OrbitDatabase, n: int, method: str
 ) -> list[PeriodicOrbit]:
     """Primitive repelling n-cycles from the fixed points of f^n, grouped by
     forward matching; primitive non-repelling ones join the sidecar."""
-    pts = fixed_points(map_spec, n, method=method, roots_cap=roots_cap, override_hyperbolicity=True)
+    pts = fixed_points(map_spec, n, method=method, override_hyperbolicity=True)
     cycles = classify_orbits(map_spec, pts, n)
     for c in cycles:
         if c.period == n and not c.repelling:
@@ -557,7 +529,6 @@ def census_counts(map_spec: RationalMapSpec, db: OrbitDatabase, n: int) -> tuple
 # exhaustive census, and the walk is certified by reproducing the census's
 # per-period counts exactly.
 
-WALK_NEWTON_ITERS = 20
 WALK_LEVEL_CAP = 2**20
 
 
@@ -665,7 +636,7 @@ def _newton_cycles(map_spec: RationalMapSpec, starts: np.ndarray, k: int):
     """
     z = np.array(starts, dtype=complex)
     active = np.ones(z.size, dtype=bool)
-    for _ in range(WALK_NEWTON_ITERS):
+    for _ in range(NEWTON_ITERS):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
@@ -699,9 +670,8 @@ def _name_cycles(map_spec: RationalMapSpec, z: np.ndarray, k: int):
     first = np.lexsort((ring.imag, ring.real), axis=0)[0]
     least = ring[first, np.arange(pts.size)]
     # one Newton polish per named point: least points read off the raw
-    # forward orbit drift apart by more than the pairing tolerance, and on
-    # cycles with a large multiplier Newton needs more than a few steps
-    reps = _dedup(newton_polish(map_spec, _dedup(least), k, iters=WALK_NEWTON_ITERS))
+    # forward orbit drift apart by more than the pairing tolerance
+    reps = _dedup(newton_polish(map_spec, _dedup(least), k))
     # least points that tie in roundoff can name one cycle twice: keep the
     # lowest-index name among the names each cycle's orbit passes through
     tree = cKDTree(np.column_stack([reps.real, reps.imag]))

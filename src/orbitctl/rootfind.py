@@ -16,6 +16,14 @@ from .maps import RationalMapSpec, _horner
 
 _BIG = 1e150  # orbit magnitude beyond which the evaluation is abandoned
 
+# Newton steps allowed on f^n(z) = z; a limit on a cycle with a large
+# multiplier can need more than a handful
+NEWTON_ITERS = 20
+
+# Aberth sweeps allowed, and the relative correction at which a point freezes
+ABERTH_SWEEPS = 400
+ABERTH_TOL = 5e-14
+
 
 def fn_shift(map_spec: RationalMapSpec, z: np.ndarray, n: int):
     """(F, dF, bad) with F = f^n(z) - z, dF = (f^n)'(z) - 1, vectorized.
@@ -45,22 +53,20 @@ def fn_shift(map_spec: RationalMapSpec, z: np.ndarray, n: int):
     return w - z, deriv - 1.0, bad
 
 
-def newton_polish(
-    map_spec: RationalMapSpec,
-    z: np.ndarray,
-    n: int,
-    iters: int = 8,
-    tol: float = 1e-14,
-) -> np.ndarray:
-    """Newton iteration on f^n(z) - z from already-close starting points."""
+def newton_polish(map_spec: RationalMapSpec, z: np.ndarray, n: int) -> np.ndarray:
+    """Newton iteration on f^n(z) - z from already-close starting points.
+
+    Stops once every step is below 1e-14 (1 + max |z|), or after NEWTON_ITERS
+    steps.
+    """
     z = np.array(z, dtype=complex)
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         f_val, df_val, bad = fn_shift(map_spec, z, n)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = f_val / df_val
         step = np.where(bad | ~np.isfinite(step), 0.0, step)
         z = z - step
-        if np.max(np.abs(step), initial=0.0) < tol * (1.0 + np.max(np.abs(z), initial=0.0)):
+        if np.max(np.abs(step), initial=0.0) < 1e-14 * (1.0 + np.max(np.abs(z), initial=0.0)):
             break
     return z
 
@@ -95,30 +101,23 @@ def _repulsion(z_all: np.ndarray, rows: np.ndarray, chunk: int = 32) -> np.ndarr
     return out
 
 
-def aberth_fixed_points(
-    map_spec: RationalMapSpec,
-    n: int,
-    count: int,
-    radius: float,
-    center: complex = 0j,
-    max_iter: int = 400,
-    tol: float = 5e-14,
-) -> np.ndarray:
-    """All `count` roots of f^n(z) = z by Aberth-Ehrlich from a circle.
+def aberth_fixed_points(map_spec: RationalMapSpec, n: int, count: int, radius: float) -> np.ndarray:
+    """All `count` roots of f^n(z) = z by Aberth-Ehrlich from a circle about 0.
 
     Points whose forward evaluation overflows are pulled back toward the
-    center deterministically; convergence is per-point on the Newton
+    origin deterministically; convergence is per-point on the Newton
     correction, and converged points are frozen (they keep repelling the
-    active ones).
+    active ones).  NonConvergenceError when points are still active after
+    ABERTH_SWEEPS sweeps.
     """
     # the first sweep must evaluate f^n in range, or every point starts bad
     radius = min(radius, np.exp(60.0 / count))
     k = np.arange(count)
     angles = 2.0 * np.pi * (k + 0.5) / count + 0.3779644730092272 / max(count, 8)
-    z = center + radius * np.exp(1j * angles)
+    z = radius * np.exp(1j * angles)
     active = np.ones(count, dtype=bool)
 
-    for _ in range(max_iter):
+    for _ in range(ABERTH_SWEEPS):
         rows = np.nonzero(active)[0]
         if rows.size == 0:
             break
@@ -131,14 +130,14 @@ def aberth_fixed_points(
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = newton / (1.0 - newton * s)
         corr = np.where(np.isfinite(corr), corr, newton)
-        # runaway points: shrink toward the center a little, keeping the angle
-        corr = np.where(bad, 0.03 * (z[rows] - center), corr)
+        # runaway points: shrink toward the origin a little, keeping the angle
+        corr = np.where(bad, 0.03 * z[rows], corr)
         z[rows] = z[rows] - corr
         # freeze only where the raw Newton step is small too; a tiny Aberth
         # correction alone can come from crowding, not from being at a root
         done = (
-            (np.abs(corr) <= tol * (1.0 + np.abs(z[rows])))
-            & (np.abs(newton) <= 1e3 * tol * (1.0 + np.abs(z[rows])))
+            (np.abs(corr) <= ABERTH_TOL * (1.0 + np.abs(z[rows])))
+            & (np.abs(newton) <= 1e3 * ABERTH_TOL * (1.0 + np.abs(z[rows])))
             & ~bad
         )
         active[rows[done]] = False

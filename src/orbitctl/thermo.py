@@ -12,10 +12,11 @@ and theta_n = (n/m)*theta_m mod 2pi (the lift ambiguity cancels because n/m
 is an integer).
 
 The finite-n pressure estimate q(t) = (1/n) log Z_n(t, 0) and its softmax
-derivatives q1, q2 feed a safeguarded Newton solve for the tilt xi(alpha)
-with q1(xi) = 0, giving the entropy H(alpha) = q(xi) and variance
-sigma^2(alpha) = q2(xi).  The Bowen parameter is the bisection root of
-t -> q(-t) at alpha = 0.
+derivatives q1, q2 give the tilt xi(alpha), the root of q1 on a fixed span
+of tilts, and from it the entropy H(alpha) = q(xi) and the variance
+sigma^2(alpha) = q2(xi).  The Bowen parameter is the root of t -> q(-t) at
+alpha = 0.  Every root here comes from bracketed_root, Brent's method on a
+sign-changing bracket.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import (
     AlphaOutOfRangeError,
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .orbits import OrbitDatabase, divisors
 
-EXP_LIMIT = 705.0  # log of the largest double, with headroom
+T_SPAN = 40.0  # the profile looks for its tilt in (-T_SPAN, T_SPAN)
 
 
 def level_terms(db: OrbitDatabase, n: int):
@@ -66,16 +68,6 @@ def log_zn(db: OrbitDatabase, n: int, s: complex, k: int = 0, alpha: float = 0.0
     if total == 0:
         raise OverflowGuard(f"level sum underflowed at n = {n}")
     return complex(np.log(total) + shift)
-
-
-def zn_sum(db: OrbitDatabase, n: int, s: complex, k: int = 0, alpha: float = 0.0) -> complex:
-    """Z_n(s, k) as a complex number; refuses magnitudes beyond double range."""
-    lz = log_zn(db, n, s, k, alpha)
-    if lz.real > EXP_LIMIT:
-        raise OverflowGuard(
-            f"Z_{n} magnitude exp({lz.real:.1f}) exceeds double range; use log_zn"
-        )
-    return complex(np.exp(lz))
 
 
 def pressure_estimate(
@@ -112,7 +104,7 @@ def pressure_derivatives(db: OrbitDatabase, n: int, t: float, alpha: float = 0.0
     return mean / n, max(var / n, 0.0)
 
 
-def alpha_range(db: OrbitDatabase, n: int, t_span: float = 40.0) -> tuple[float, float]:
+def alpha_range(db: OrbitDatabase, n: int, t_span: float = T_SPAN) -> tuple[float, float]:
     """Interval of alpha values reachable by finite tilts at this level."""
     lo, _ = pressure_derivatives(db, n, -t_span, 0.0)
     hi, _ = pressure_derivatives(db, n, t_span, 0.0)
@@ -165,116 +157,79 @@ def pressure_curve(
     return PressureCurve(t=t, q=q, q1=q1, q2=q2, alpha=alpha, variant=variant, n_used=n)
 
 
-def thermo_profile(
-    db: OrbitDatabase,
-    alpha: float,
-    n: int,
-    t_span: float = 40.0,
-    residual_tol: float = 1e-8,
-) -> ThermoProfile:
-    """Tilt xi with q1(xi) = 0, plus variance and entropy at that tilt.
-
-    Degenerate levels (all orbits share one expansion rate, q2 ~ 0) are
-    rejected first; then alpha must lie strictly inside the reachable
-    range before the safeguarded Newton iteration starts.
-    """
-    _, q2_at_zero = pressure_derivatives(db, n, 0.0, alpha)
-    if q2_at_zero <= 1e-10:
-        raise DegenerateError(
-            f"distortion spectrum is degenerate at n = {n} (q2 = {q2_at_zero:.2e}); "
-            "the profile is a point mass"
-        )
-    lo_a, hi_a = alpha_range(db, n, t_span)
-    if not (lo_a < alpha < hi_a):
-        raise AlphaOutOfRangeError(
-            f"alpha = {alpha:.6g} outside the reachable range "
-            f"({lo_a:.6g}, {hi_a:.6g}) at n = {n}"
-        )
-
-    # g(t) = q1(t) is increasing in t; bracket then Newton with bisection fallback
-    lo, hi = -t_span, t_span
-    g_lo, _ = pressure_derivatives(db, n, lo, alpha)
-    g_hi, _ = pressure_derivatives(db, n, hi, alpha)
-    if not (g_lo < 0.0 < g_hi):
-        raise AlphaOutOfRangeError(
-            f"alpha = {alpha:.6g} not bracketed by tilts +/-{t_span}"
-        )
-    t = 0.0
-    g, dg = pressure_derivatives(db, n, t, alpha)
-    for _ in range(200):
-        if abs(g) < 1e-14:
-            break
-        if g > 0:
-            hi = min(hi, t)
-        else:
-            lo = max(lo, t)
-        step = g / dg if dg > 0 else None
-        if step is not None and lo < t - step < hi:
-            t = t - step
-        else:
-            t = 0.5 * (lo + hi)
-        g, dg = pressure_derivatives(db, n, t, alpha)
-    if abs(g) > residual_tol:
-        raise NonConvergenceError(
-            f"tilt solve stalled at |q1| = {abs(g):.2e} for alpha = {alpha:.6g}"
-        )
-    entropy = pressure_estimate(db, n, t, alpha, "direct")
-    return ThermoProfile(
-        alpha=alpha, xi=t, sigma2=dg, entropy=entropy, residual=abs(g), n_used=n
-    )
-
-
-def bisect_root(
-    press,
+def bracketed_root(
+    fn,
     bracket: tuple[float, float],
     rel_tol: float,
     residual_tol: float,
     label: str,
 ) -> tuple[float, float, int]:
-    """Root of a function that falls through zero on the bracket, by bisection.
+    """Root of a function that changes sign on the bracket, by Brent's method.
 
-    press is probed at both ends, at every midpoint until the bracket is
-    narrower than rel_tol * (1 + |mid|) (at most 200 halvings), and at the
-    root.  Returns (root, |press(root)|, halvings).  BracketError when the
-    ends do not straddle zero and NonConvergenceError when the residual
-    exceeds residual_tol; both messages begin with label.
+    Brent stops once the root is pinned to rel_tol * (1 + |root|); an end
+    where fn vanishes is the root.  Returns (root, |fn(root)|, function
+    calls), each distinct point counted once.  BracketError when the ends
+    do not straddle zero, NonConvergenceError
+    when Brent does not converge or the residual exceeds residual_tol; both
+    messages begin with label.
     """
+    seen: dict[float, float] = {}
+
+    def probe(t: float) -> float:
+        if t not in seen:
+            seen[t] = fn(t)
+        return seen[t]
+
     lo, hi = bracket
-    p_lo, p_hi = press(lo), press(hi)
-    if not (p_lo > 0.0 > p_hi):
+    f_lo, f_hi = probe(lo), probe(hi)
+    if not (min(f_lo, f_hi) <= 0.0 <= max(f_lo, f_hi)):
         raise BracketError(
             f"{label} does not change sign on ({lo}, {hi}): "
-            f"P({lo}) = {p_lo:.4g}, P({hi}) = {p_hi:.4g}"
+            f"f({lo}) = {f_lo:.4g}, f({hi}) = {f_hi:.4g}"
         )
-    iters = 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        iters += 1
-        if press(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < rel_tol * (1.0 + abs(mid)):
-            break
-    value = 0.5 * (lo + hi)
-    residual = abs(press(value))
-    if residual > residual_tol:
+    value, info = brentq(probe, lo, hi, xtol=rel_tol, rtol=rel_tol, full_output=True, disp=False)
+    if not info.converged:
+        raise NonConvergenceError(
+            f"{label}: Brent stopped unconverged ({info.flag}) after {info.iterations} steps"
+        )
+    residual = abs(probe(value))
+    if not residual <= residual_tol:
         raise NonConvergenceError(
             f"{label} residual {residual:.2e} above {residual_tol:.1e} at t = {value:.12g}"
         )
-    return value, residual, iters
+    return value, residual, len(seen)
 
 
-def _pressure_root(
-    db: OrbitDatabase,
-    n: int,
-    variant: str,
-    bracket: tuple[float, float],
-    residual_tol: float,
-) -> tuple[float, float, int]:
-    return bisect_root(
-        lambda t: pressure_estimate(db, n, -t, 0.0, variant),
-        bracket, 1e-14, residual_tol, f"pressure at n = {n}",
+def thermo_profile(db: OrbitDatabase, alpha: float, n: int) -> ThermoProfile:
+    """Tilt xi with q1(xi) = 0, plus variance and entropy at that tilt.
+
+    Degenerate levels (all orbits share one expansion rate, q2 ~ 0) are
+    rejected first; then alpha must lie strictly inside the reachable
+    range, which makes q1, increasing in t, change sign on the tilt span.
+    Its sign at t = 0 picks the half of the span that holds the root, so
+    at the maximal-entropy alpha the root is found at 0 itself.
+    """
+    q1_at_zero, q2_at_zero = pressure_derivatives(db, n, 0.0, alpha)
+    if q2_at_zero <= 1e-10:
+        raise DegenerateError(
+            f"distortion spectrum is degenerate at n = {n} (q2 = {q2_at_zero:.2e}); "
+            "the profile is a point mass"
+        )
+    lo_a, hi_a = alpha_range(db, n)
+    if not (lo_a < alpha < hi_a):
+        raise AlphaOutOfRangeError(
+            f"alpha = {alpha:.6g} outside the reachable range "
+            f"({lo_a:.6g}, {hi_a:.6g}) at n = {n}"
+        )
+    xi, residual, _ = bracketed_root(
+        lambda t: pressure_derivatives(db, n, t, alpha)[0],
+        (-T_SPAN, 0.0) if q1_at_zero > 0.0 else (0.0, T_SPAN),
+        1e-14, 1e-8, f"tilt for alpha = {alpha:.6g}",
+    )
+    _, sigma2 = pressure_derivatives(db, n, xi, alpha)
+    entropy = pressure_estimate(db, n, xi, alpha, "direct")
+    return ThermoProfile(
+        alpha=alpha, xi=xi, sigma2=sigma2, entropy=entropy, residual=residual, n_used=n
     )
 
 
@@ -282,71 +237,30 @@ def bowen_dimension(
     db: OrbitDatabase,
     n: int,
     bracket: tuple[float, float] = (1e-9, 2.0),
-    residual_tol: float = 1e-10,
-    variant: str = "balanced",
 ) -> DimensionResult:
     """Root of the level-sum pressure t -> P_n(-t) on the bracket.
 
-    'direct' bisects (1/n) log Z_n alone; 'ratio' uses consecutive levels.
-    The default 'balanced' averages the direct roots at n-1 and n: level
-    sums of renormalizable maps carry a genuinely 2-periodic prefactor
-    (even and odd levels see the slow part of the spectrum differently),
-    and the even/odd mean cancels its leading contribution to the root.
+    The value averages the roots of (1/m) log Z_m at m = n-1 and m = n (at
+    n alone when n = 1): level sums of renormalizable maps carry a genuinely
+    2-periodic prefactor (even and odd levels see the slow part of the
+    spectrum differently), and the even/odd mean cancels its leading
+    contribution to the root.  iterations counts the pressure evaluations.
     """
-    if variant in ("direct", "ratio"):
-        value, residual, iters = _pressure_root(db, n, variant, bracket, residual_tol)
-        return DimensionResult(
-            value=value, residual=residual, iterations=iters,
-            n_used=n, method="orbit-sum", bracket=bracket,
+    levels = (n,) if n < 2 else (n, n - 1)
+    roots = [
+        bracketed_root(
+            lambda t, m=m: pressure_estimate(db, m, -t),
+            bracket, 1e-14, 1e-10, f"pressure at n = {m}",
         )
-    if variant != "balanced":
-        raise ValueError(f"unknown variant '{variant}'")
-    if n < 2:
-        value, residual, iters = _pressure_root(db, n, "direct", bracket, residual_tol)
-        return DimensionResult(
-            value=value, residual=residual, iterations=iters,
-            n_used=n, method="orbit-sum", bracket=bracket,
-        )
-    v_hi, r_hi, it_hi = _pressure_root(db, n, "direct", bracket, residual_tol)
-    v_lo, r_lo, it_lo = _pressure_root(db, n - 1, "direct", bracket, residual_tol)
+        for m in levels
+    ]
     return DimensionResult(
-        value=0.5 * (v_hi + v_lo),
-        residual=max(r_hi, r_lo),
-        iterations=it_hi + it_lo,
+        value=sum(r[0] for r in roots) / len(roots),
+        residual=max(r[1] for r in roots),
+        iterations=sum(r[2] for r in roots),
         n_used=n,
         method="orbit-sum",
         bracket=bracket,
-    )
-
-
-@dataclass(frozen=True)
-class ExpansionCheck:
-    t: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    residual: np.ndarray
-    xi: float
-    sigma2: float
-    n_used: int
-
-
-def expansion_check(
-    db: OrbitDatabase,
-    n: int,
-    alpha: float,
-    xi: float,
-    sigma2: float,
-    t_values,
-) -> ExpansionCheck:
-    """Compare exp(q(xi + it)) against the quadratic shoulder
-    exp(q(xi)) * (1 - sigma2 t^2 / 2); the gap should shrink like t^3."""
-    t = np.asarray(t_values, dtype=float)
-    base = np.exp(log_zn(db, n, xi, 0, alpha) / n)
-    lhs = np.array([np.exp(log_zn(db, n, complex(xi, tv), 0, alpha) / n) for tv in t])
-    rhs = base * (1.0 - 0.5 * sigma2 * t**2)
-    residual = np.abs(lhs - rhs)
-    return ExpansionCheck(
-        t=t, lhs=lhs, rhs=rhs, residual=residual, xi=xi, sigma2=sigma2, n_used=n
     )
 
 
@@ -359,17 +273,15 @@ def maximal_entropy_alpha(db: OrbitDatabase, n: int) -> float:
 __all__ = [
     "level_terms",
     "log_zn",
-    "zn_sum",
     "pressure_estimate",
     "pressure_derivatives",
     "alpha_range",
     "pressure_curve",
     "thermo_profile",
+    "bracketed_root",
     "bowen_dimension",
-    "expansion_check",
     "maximal_entropy_alpha",
     "ThermoProfile",
     "PressureCurve",
     "DimensionResult",
-    "ExpansionCheck",
 ]

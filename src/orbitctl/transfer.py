@@ -28,7 +28,7 @@ from .errors import (
 )
 from .maps import DERIV_FLOOR, RationalMapSpec, derivative_values
 from .orbits import _fixed_point_seed, preimages
-from .thermo import DimensionResult, bisect_root
+from .thermo import DimensionResult, bracketed_root
 
 COLLISION_TOL = 1e-9
 
@@ -133,13 +133,13 @@ def leading_eigendata(
     mesh: CollocationMesh,
     xi: float,
     alpha: float = 0.0,
-    tol: float = 1e-12,
     max_iter: int = 5000,
 ):
     """(log Perron root, positive eigenvector with sup 1) by power iteration.
 
     Convergence is certified by the Collatz-Wielandt sandwich: the min and
-    max of (L psi)/psi bracket the root at every step.
+    max of (L psi)/psi bracket the root at every step, and the iteration
+    stops once they agree to 1e-12 relative.
     """
     weights = np.exp(xi * (mesh.pre_r - alpha))
     psi = np.ones(mesh.size, dtype=float)
@@ -151,7 +151,7 @@ def leading_eigendata(
         lo, hi = float(ratios.min()), float(ratios.max())
         if hi <= 0:
             raise NonConvergenceError("positive operator produced a non-positive image")
-        if hi - lo <= tol * hi:
+        if hi - lo <= 1e-12 * hi:
             lam = 0.5 * (lo + hi)
             psi = nxt
             break
@@ -249,12 +249,12 @@ def decay_probe(
 def dimension_from_mesh(
     mesh: CollocationMesh,
     bracket: tuple[float, float] = (1e-9, 2.0),
-    residual_tol: float = 1e-9,
 ) -> DimensionResult:
-    """Bisection root of t -> log Perron root of the weight e^{-t r}."""
-    value, residual, iters = bisect_root(
+    """Root of t -> log Perron root of the weight e^{-t r}; iterations counts
+    the eigen solves."""
+    value, residual, iters = bracketed_root(
         lambda t: leading_eigendata(mesh, -t, 0.0)[0],
-        bracket, 1e-13, residual_tol, "operator pressure",
+        bracket, 1e-13, 1e-9, "operator pressure",
     )
     return DimensionResult(
         value=value,

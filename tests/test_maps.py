@@ -5,12 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from orbitctl import maps
 from orbitctl.errors import (
-    CriticalPointError,
     NotPeriodicError,
     PoleError,
     SuperattractingError,
@@ -46,45 +43,6 @@ def test_vector_evaluation_matches_scalar(basilica):
     for i, z in enumerate(zs):
         assert vals[i] == pytest.approx(maps.evaluate(basilica, complex(z)))
         assert ders[i] == pytest.approx(maps.derivative(basilica, complex(z)))
-
-
-def test_distortion_rotation_square(square):
-    z = 0.7 * cmath.exp(0.4j)
-    log_abs, angle = maps.distortion_rotation(square, z)
-    assert log_abs == pytest.approx(math.log(1.4), abs=1e-12)
-    assert angle == pytest.approx(0.4, abs=1e-12)
-
-
-def test_distortion_rotation_critical_point(square):
-    with pytest.raises(CriticalPointError):
-        maps.distortion_rotation(square, 0.0)
-
-
-def test_birkhoff_sums_period_two_cycle(square):
-    # omega -> omega^2 -> omega: derivative product is 4 omega^3 = 4
-    r, theta = maps.birkhoff_sums(square, OMEGA, 2)
-    assert r == pytest.approx(2 * LOG2, abs=1e-12)
-    assert math.remainder(theta, 2 * math.pi) == pytest.approx(0.0, abs=1e-12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    # |z| >= 1 keeps the squaring orbit clear of the superattracting basin
-    st.complex_numbers(min_magnitude=1.0, max_magnitude=1.8, allow_nan=False),
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=4),
-)
-def test_birkhoff_sums_additive_over_orbit_splits(z, a, b):
-    # r_{a+b}(z) = r_a(z) + r_b(f^a z), same for the lifted angle
-    sq = maps.RationalMapSpec(numerator=(0.0, 0.0, 1.0), denominator=(1.0,))
-    r_full, th_full = maps.birkhoff_sums(sq, z, a + b)
-    w = z
-    for _ in range(a):
-        w = maps.evaluate(sq, w)
-    r_a, th_a = maps.birkhoff_sums(sq, z, a)
-    r_b, th_b = maps.birkhoff_sums(sq, w, b)
-    assert r_full == pytest.approx(r_a + r_b, rel=1e-9, abs=1e-9)
-    assert th_full == pytest.approx(th_a + th_b, rel=1e-9, abs=1e-9)
 
 
 def test_cycle_multiplier_fixed_point(square):

@@ -11,7 +11,7 @@ from orbitctl.errors import (
     AlphaOutOfRangeError,
     BracketError,
     DegenerateError,
-    OverflowGuard,
+    NonConvergenceError,
 )
 from orbitctl.orbits import divisors
 
@@ -31,40 +31,45 @@ def brute_zn(db, n, s, k, alpha):
     return total
 
 
+def zn(db, n, s, k=0, alpha=0.0):
+    return cmath.exp(thermo.log_zn(db, n, s, k, alpha))
+
+
 def test_zn_closed_form_circle(square_db):
     # every repelling level-n point of the doubling map has r = n log 2 and
     # trivial holonomy, so Z_n = (2^n - 1) e^{s n(log 2 - alpha)} for every k
     for n in (3, 6, 9):
         for s, k, alpha in ((0.4, 0, 0.0), (-1.2, 0, 0.3), (0.7, 3, 0.1)):
             closed = (2**n - 1) * math.exp(s * n * (LOG2 - alpha))
-            got = thermo.zn_sum(square_db, n, s, k, alpha)
+            got = zn(square_db, n, s, k, alpha)
             assert got.real == pytest.approx(closed, rel=1e-12)
             assert abs(got.imag) < 1e-9 * abs(closed)
 
 
 def test_zn_matches_divisor_sum(basilica_db):
     for n, s, k, alpha in ((6, 0.3, 1, 0.7), (8, -0.4, 2, 0.5), (12, 0.1, 0, 0.69)):
-        got = thermo.zn_sum(basilica_db, n, s, k, alpha)
+        got = zn(basilica_db, n, s, k, alpha)
         want = brute_zn(basilica_db, n, s, k, alpha)
         assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_log_zn_consistent_with_zn(basilica_db):
+    # log_zn is the principal log: its imaginary part is the argument of Z_n
     lz = thermo.log_zn(basilica_db, 10, 0.3, 1, 0.7)
-    z = thermo.zn_sum(basilica_db, 10, 0.3, 1, 0.7)
-    assert cmath.exp(lz) == pytest.approx(z, rel=1e-10)
+    want = cmath.log(brute_zn(basilica_db, 10, 0.3, 1, 0.7))
+    assert lz.real == pytest.approx(want.real, rel=1e-12)
+    assert lz.imag == pytest.approx(want.imag, abs=1e-10)
 
 
 def test_zn_real_and_positive_for_real_tilt(basilica_db):
     for s in (-1.0, 0.0, 0.8):
-        z = thermo.zn_sum(basilica_db, 9, s, 0, 0.6)
+        z = zn(basilica_db, 9, s, 0, 0.6)
         assert z.real > 0
         assert abs(z.imag) < 1e-10 * z.real
 
 
 def test_zn_overflow_guard(basilica_db):
-    with pytest.raises(OverflowGuard, match="log_zn"):
-        thermo.zn_sum(basilica_db, 8, 200.0)
+    # Z_8(200) is far beyond double range; its log stays finite
     lz = thermo.log_zn(basilica_db, 8, 200.0)
     assert lz.real > 705.0 and math.isfinite(lz.real)
 
@@ -180,8 +185,11 @@ def test_bowen_dimension_pure_powers(square_db, cubic_db):
     for db, n in ((square_db, 12), (cubic_db, 8)):
         res = thermo.bowen_dimension(db, n)
         assert abs(res.value - 1.0) < 1e-4
-        direct = thermo.bowen_dimension(db, n, variant="direct")
-        assert abs(direct.value - 1.0) < 1e-3
+        # the root of one level alone is within 1e-3 too
+        direct, _, _ = thermo.bracketed_root(
+            lambda t: thermo.pressure_estimate(db, n, -t), (1e-9, 2.0), 1e-14, 1e-10, "direct"
+        )
+        assert abs(direct - 1.0) < 1e-3
 
 
 def test_bowen_dimension_basilica(basilica_db):
@@ -190,22 +198,38 @@ def test_bowen_dimension_basilica(basilica_db):
     assert res.residual < 1e-8
 
 
+def test_bracketed_root_contract():
+    root, residual, calls = thermo.bracketed_root(
+        lambda t: t * t - 2.0, (0.0, 2.0), 1e-14, 1e-10, "sqrt 2"
+    )
+    assert root == pytest.approx(math.sqrt(2.0), abs=1e-13)
+    assert residual < 1e-10 and calls < 20
+    with pytest.raises(BracketError, match=r"sqrt 2 .*f\(2.0\) = 2"):
+        thermo.bracketed_root(lambda t: t * t - 2.0, (2.0, 3.0), 1e-14, 1e-10, "sqrt 2")
+    # a sign change without a root: Brent closes in on the jump, whose
+    # residual stays at 1
+    with pytest.raises(NonConvergenceError, match="jump residual"):
+        thermo.bracketed_root(lambda t: 1.0 if t < 0.5 else -1.0, (0.0, 1.0), 1e-14, 1e-10, "jump")
+
+
 def test_bowen_bracket_error(basilica_db):
     with pytest.raises(BracketError):
         thermo.bowen_dimension(basilica_db, 12, bracket=(1e-9, 0.2))
 
 
 def test_expansion_shoulder(basilica_db, maxent_alpha):
-    prof = thermo.thermo_profile(basilica_db, maxent_alpha, 12)
-    t = (0.0, 0.02, 0.04, 0.08)
-    chk = thermo.expansion_check(
-        basilica_db, 12, maxent_alpha, prof.xi, prof.sigma2, t
-    )
-    assert chk.residual[0] < 1e-12
+    # exp(q(xi + it)) against the quadratic shoulder exp(q(xi)) (1 - sigma2 t^2 / 2):
+    # the gap shrinks like t^3 and is even in t
+    n = 12
+    prof = thermo.thermo_profile(basilica_db, maxent_alpha, n)
+
+    def gap(t):
+        lhs = cmath.exp(thermo.log_zn(basilica_db, n, complex(prof.xi, t), 0, maxent_alpha) / n)
+        base = cmath.exp(thermo.log_zn(basilica_db, n, prof.xi, 0, maxent_alpha) / n)
+        return abs(lhs - base * (1.0 - 0.5 * prof.sigma2 * t**2))
+
+    assert gap(0.0) < 1e-12
     # cubic decay of the remainder: slope of log residual vs log t
-    slope = (math.log(chk.residual[3]) - math.log(chk.residual[1])) / math.log(4.0)
+    slope = (math.log(gap(0.08)) - math.log(gap(0.02))) / math.log(4.0)
     assert slope > 2.5
-    sym = thermo.expansion_check(
-        basilica_db, 12, maxent_alpha, prof.xi, prof.sigma2, (-0.05, 0.05)
-    )
-    assert sym.residual[0] == pytest.approx(sym.residual[1], abs=1e-9)
+    assert gap(-0.05) == pytest.approx(gap(0.05), abs=1e-9)

@@ -187,3 +187,22 @@ def test_dimension_routes_agree(basilica_mesh, basilica_db):
     operator = transfer.dimension_from_mesh(basilica_mesh)
     assert abs(orbit.value - operator.value) < 2e-2
     assert 1.2 < orbit.value < 1.3 and 1.2 < operator.value < 1.3
+
+
+def test_dimension_roots_take_few_solves(monkeypatch, basilica_mesh, basilica_db):
+    # the bounds sit well below what bisection to the same tolerances takes:
+    # 47 eigen solves, and 100 pressure evaluations over both orbit levels
+    calls = {"eigen": 0, "pressure": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(transfer, "leading_eigendata", counted(transfer.leading_eigendata, "eigen"))
+    monkeypatch.setattr(thermo, "pressure_estimate", counted(thermo.pressure_estimate, "pressure"))
+    operator = transfer.dimension_from_mesh(basilica_mesh)
+    orbit = thermo.bowen_dimension(basilica_db, 12)
+    assert calls["eigen"] == operator.iterations <= 12
+    assert calls["pressure"] == orbit.iterations <= 40
