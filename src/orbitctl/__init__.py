@@ -16,7 +16,6 @@ from .maps import (
 from .orbits import (
     OrbitDatabase,
     PeriodicOrbit,
-    classify_orbits,
     enumerate_primitive,
     fixed_points,
     load_db,
@@ -50,7 +49,6 @@ __all__ = [
     "OrbitDatabase",
     "PeriodicOrbit",
     "fixed_points",
-    "classify_orbits",
     "enumerate_primitive",
     "save_db",
     "load_db",

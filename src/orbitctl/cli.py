@@ -52,6 +52,8 @@ def parse_config(data, path_prefix: str = "") -> dict:
         if not isinstance(value, want):
             raise ConfigError(f"config key '{full}' must be {want.__name__}")
         out[key] = value
+    if out.get("method", "auto") not in orbits.METHODS:
+        raise ConfigError(f"config key '{path_prefix}method' must be one of {', '.join(orbits.METHODS)}")
     n_min, n_max = out.get("n_min"), out.get("n_max")
     if n_min is not None and n_min < 1:
         raise ConfigError("n_min must be >= 1")
@@ -455,8 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("enumerate", help="build or extend the orbit census")
     _add_common(p)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "backward", "roots", "both"])
+    p.add_argument("--method", default="auto", choices=orbits.METHODS)
     p.add_argument("--override-hyperbolicity", action="store_true")
     p.add_argument("--config", default=None, help="JSON config file")
     p.set_defaults(func=cmd_enumerate)

@@ -1,4 +1,4 @@
-"""Periodic-orbit enumeration, classification, and the census database.
+"""Periodic-orbit enumeration, cycle records, and the census database.
 
 Two independent routes produce the fixed points of f^n:
 
@@ -7,19 +7,21 @@ Two independent routes produce the fixed points of f^n:
   the primitive repelling k-cycles, and the tree emits them as cycles: one
   ring per cycle, its points polished on f^k in cycle order from the least
   point, from which the census reads each orbit's multiplier and holonomy
-  directly.  Depth k holds d^k nodes.
+  directly.  Depth k holds d^k nodes.  Every census record comes off
+  these rings.
 * roots: all d^n solutions of f^n(z) = z at once via Aberth-Ehrlich,
-  feasible for d^n <= 4096.  Finds non-repelling points too; its points
-  are grouped into cycles by forward matching at the pairing tolerance.
+  feasible for d^n <= 4096.  Finds non-repelling points too.  It records
+  nothing: method 'both' uses its points as a certificate, matching the
+  repelling ones to the tree's ring points one to one and counting the
+  rest against the non-repelling sidecar.
 
 The census identity
     sum_{m | n} m * #(primitive repelling m-cycles) + #(non-repelling fixed
     points of f^n, with multiplicity) = d^n
 is checked with exact integers before a period entry is marked complete.
 Non-repelling cycles come from critical-orbit limits (every attracting cycle
-of a rational map attracts a critical point) or, on the roots route, from the
-solver itself.  The fixed point at infinity of a polynomial is excluded
-throughout.
+of a rational map attracts a critical point).  The fixed point at infinity
+of a polynomial is excluded throughout.
 
 multiplier_bounded_orbits orders cycles by multiplier instead of period: it
 finds every primitive repelling cycle with |multiplier| < T, whatever its
@@ -54,11 +56,15 @@ from .maps import (
     hyperbolicity_probe,
     map_values,
 )
-from .rootfind import NEWTON_ITERS, aberth_fixed_points, fn_shift, newton_polish, residuals
+from .rootfind import aberth_fixed_points, fn_shift, newton_polish, residuals
 
 PAIR_TOL = 1e-9
 ROOTS_CAP = 4096
 DB_VERSION = 1
+
+# census methods: auto (an alias of backward), backward, and both, which
+# certifies each backward level against the roots route
+METHODS = ("auto", "backward", "both")
 
 
 # ---- records -------------------------------------------------------------
@@ -166,14 +172,12 @@ def _dedup(points: np.ndarray, tol: float = PAIR_TOL) -> np.ndarray:
     return out[order]
 
 
-def _match_counts(a: np.ndarray, b: np.ndarray, tol: float = PAIR_TOL):
-    """(#matched pairs, max distance over matches); a matched into b."""
+def _match_counts(a: np.ndarray, b: np.ndarray, tol: float = PAIR_TOL) -> int:
+    """Number of points of a within tol of a point of b."""
     if a.size == 0 or b.size == 0:
-        return 0, 0.0
-    tree = cKDTree(np.column_stack([b.real, b.imag]))
-    dist, _ = tree.query(np.column_stack([a.real, a.imag]), k=1)
-    matched = dist <= tol
-    return int(matched.sum()), float(dist[matched].max()) if matched.any() else 0.0
+        return 0
+    dist, _ = cKDTree(np.column_stack([b.real, b.imag])).query(np.column_stack([a.real, a.imag]))
+    return int(np.count_nonzero(dist <= tol))
 
 
 def _finite_fixed_points(map_spec: RationalMapSpec) -> np.ndarray:
@@ -227,42 +231,22 @@ def fixed_points(
 
     method='backward' (and 'auto', its alias) returns the repelling points
     only, found on the preimage tree of any rational map; 'roots' returns
-    everything (non-repelling included) and is capped at d^n <= ROOTS_CAP;
-    'both' runs the two routes, demands that their repelling sets agree
-    point for point at the pairing tolerance, and returns the union.
+    everything (non-repelling included) and is capped at d^n <= ROOTS_CAP.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if method == "auto":
-        method = "backward"
-
-    if method in ("backward", "both") and not override_hyperbolicity:
-        _require_hyperbolic(hyperbolicity_probe(map_spec).verdict)
-
     if method == "roots":
         return _roots_route(map_spec, n)
-    if method == "backward":
-        return _backward_route(map_spec, n)
-    if method == "both":
-        back = _backward_route(map_spec, n)
-        full = _roots_route(map_spec, n)
-        deriv_mag = np.abs(1.0 + fn_shift(map_spec, full, n)[1])
-        rep = full[deriv_mag > 1.0]
-        m_ab, worst = _match_counts(back, rep)
-        m_ba, _ = _match_counts(rep, back)
-        if m_ab != back.size or m_ba != rep.size:
-            raise OrbitMatchingError(
-                f"backward/roots repelling sets disagree at n = {n}: "
-                f"{back.size} vs {rep.size} points, "
-                f"{back.size - m_ab} and {rep.size - m_ba} unmatched"
-            )
-        return _dedup(np.concatenate([full, back]))
-    raise ValueError(f"unknown method '{method}'")
+    if method not in ("auto", "backward"):
+        raise ValueError(f"unknown method '{method}'")
+    if not override_hyperbolicity:
+        _require_hyperbolic(hyperbolicity_probe(map_spec).verdict)
+    return _backward_route(map_spec, n)
 
 
 def _roots_route(map_spec: RationalMapSpec, n: int) -> np.ndarray:
     """Every fixed point of f^n that Aberth finds, with no repair: a point
-    it misses fails the census identity or both's point match."""
+    it misses fails both's point match."""
     count = expected_fixed_count(map_spec, n)
     if count > ROOTS_CAP:
         raise DegreeOverflowError(f"d^n = {count} exceeds roots cap {ROOTS_CAP}")
@@ -280,71 +264,7 @@ def _backward_route(map_spec: RationalMapSpec, n: int) -> np.ndarray:
     return pts[np.lexsort((pts.imag, pts.real))]
 
 
-# ---- classification -------------------------------------------------------
-
-def classify_orbits(map_spec: RationalMapSpec, points, n: int) -> list[PeriodicOrbit]:
-    """Group fixed points of f^n into cycles with least period m | n.
-
-    Forward images are matched against the input list at the pairing
-    tolerance; a miss or a collision raises OrbitMatchingError.  Cycles
-    whose least period equals n are flagged primitive.
-    """
-    pts = np.asarray(points, dtype=complex)
-    if pts.size == 0:
-        return []
-    images = map_values(map_spec, pts)
-    tree = cKDTree(np.column_stack([pts.real, pts.imag]))
-    dist, idx = tree.query(np.column_stack([images.real, images.imag]), k=1)
-    worst = float(np.nanmax(dist)) if dist.size else 0.0
-    if not np.all(np.isfinite(dist)) or worst > PAIR_TOL:
-        raise OrbitMatchingError(
-            f"forward image missed the point list by {worst:.3e} (tol {PAIR_TOL:.1e})"
-        )
-    if np.unique(idx).size != pts.size:
-        raise OrbitMatchingError("forward images collide; point list is not a census level")
-
-    fp = derivative_values(map_spec, pts)
-    mag = np.abs(fp)
-    sup = mag < DERIV_FLOOR
-    with np.errstate(divide="ignore"):
-        r = np.where(sup, -np.inf, np.log(np.where(sup, 1.0, mag)))
-    th = np.arctan2(fp.imag, fp.real)
-
-    seen = np.zeros(pts.size, dtype=bool)
-    out: list[PeriodicOrbit] = []
-    for i in range(pts.size):
-        if seen[i]:
-            continue
-        cycle = [i]
-        seen[i] = True
-        j = int(idx[i])
-        while j != i:
-            cycle.append(j)
-            seen[j] = True
-            j = int(idx[j])
-        m = len(cycle)
-        if n % m != 0:
-            raise OrbitMatchingError(f"cycle length {m} does not divide n = {n}")
-        cyc = np.asarray(cycle)
-        log_abs = float(r[cyc].sum())
-        if math.isinf(log_abs) and log_abs < 0:
-            theta = 0.0
-        else:
-            theta = float(th[cyc].sum()) % TWO_PI
-        reps = pts[cyc]
-        k = int(np.lexsort((reps.imag, reps.real))[0])
-        out.append(
-            PeriodicOrbit(
-                period=m,
-                representative=complex(reps[k]),
-                log_abs_multiplier=log_abs,
-                holonomy_angle=theta,
-                primitive=(m == n),
-                repelling=bool(log_abs > 0.0),
-            )
-        )
-    return out
-
+# ---- cycle records -------------------------------------------------------
 
 def _least_first(ring: np.ndarray) -> np.ndarray:
     """A ring, whose row j holds the j-th points of its cycles, with every
@@ -359,7 +279,7 @@ def _ring_orbits(map_spec: RationalMapSpec, ring: np.ndarray) -> list[PeriodicOr
 
     log|multiplier| and the holonomy angle are the sums of log|f'| and
     arg f' down each column; a cycle through a critical point gets -inf and
-    0.0, as in classify_orbits.
+    0.0.
     """
     fp = derivative_values(map_spec, ring)
     mag = np.abs(fp)
@@ -428,14 +348,16 @@ def enumerate_primitive(
 ) -> list[PeriodicOrbit]:
     """Complete every missing period 1..n; return the primitive orbits of period n.
 
-    The backward route reads the missing periods off one pass over the
-    preimage tree, one record per emitted cycle.  roots and both go level
-    by level: each level's fixed points are grouped into cycles, and the
-    non-primitive ones must reproduce the divisor censuses.  A period entry
-    is marked complete only when the integer census identity holds;
-    otherwise IncompleteCensusError is raised, the periods below stay
-    complete, and nothing is recorded for the failing one.
+    The missing periods are read off one pass over the preimage tree, one
+    record per emitted cycle.  method='both' also solves each missing level
+    by Aberth and certifies the tree's points against the roots before the
+    level is recorded (_check_roots).  A period entry is marked complete
+    only when the integer census identity holds; otherwise
+    IncompleteCensusError is raised, the periods below stay complete, and
+    nothing is recorded for the failing one.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method '{method}'")
     if db.map_fingerprint != map_spec.fingerprint:
         raise FingerprintMismatchError(
             f"database fingerprint {db.map_fingerprint} does not match map "
@@ -444,45 +366,46 @@ def enumerate_primitive(
     missing = [m for m in range(1, n + 1) if not (m in db.entries and db.entries[m].complete)]
     if missing:
         _register_critical_cycles(map_spec, db)
-        requested = "backward" if method == "auto" else method
-        if requested in ("backward", "both") and not override_hyperbolicity:
+        if not override_hyperbolicity:
             _require_hyperbolic(db.hyperbolicity)
-        if requested == "backward":
-            for k, ring in _tree_cycles(map_spec, missing):
-                _complete_entry(map_spec, db, k, _ring_orbits(map_spec, ring), requested)
-        else:
-            for k in missing:
-                orbs = _classified_level(map_spec, db, k, requested)
-                _complete_entry(map_spec, db, k, orbs, requested)
+        label = "backward" if method == "auto" else method
+        # both checks a level against the rings of all its divisors
+        depths = sorted({m for k in missing for m in divisors(k)}) if method == "both" else missing
+        rings = {}
+        for k, ring in _tree_cycles(map_spec, depths):
+            if method == "both":
+                rings[k] = ring
+                if k not in missing:
+                    continue
+                _check_roots(map_spec, db, k, rings)
+            _complete_entry(map_spec, db, k, _ring_orbits(map_spec, ring), label)
     return list(db.entries[n].orbits)
 
 
-def _classified_level(
-    map_spec: RationalMapSpec, db: OrbitDatabase, n: int, method: str
-) -> list[PeriodicOrbit]:
-    """Primitive repelling n-cycles from the fixed points of f^n, grouped by
-    forward matching; primitive non-repelling ones join the sidecar."""
-    pts = fixed_points(map_spec, n, method=method, override_hyperbolicity=True)
-    cycles = classify_orbits(map_spec, pts, n)
-    for c in cycles:
-        if c.period == n and not c.repelling:
-            _merge_nonrepelling(db, c)
+def _check_roots(map_spec: RationalMapSpec, db: OrbitDatabase, n: int, rings: dict):
+    """Certify level n of the tree by an independent Aberth solve of f^n(z) = z.
 
-    # non-primitive cycles must reproduce the divisor censuses
-    for m in divisors(n)[:-1]:
-        got_non = sum(1 for c in cycles if c.period == m and not c.repelling)
-        want_non = len(db.entries[m].nonrepelling)
-        if got_non != want_non:
-            raise IncompleteCensusError(
-                f"period {m} non-repelling cycles: found {got_non}, census has {want_non}"
-            )
-        got = sum(1 for c in cycles if c.period == m and c.repelling)
-        want = len(db.entries[m].orbits)
-        if got != want:
-            raise IncompleteCensusError(
-                f"period {m} repelling cycles seen at level {n}: {got} vs census {want}"
-            )
-    return [c for c in cycles if c.period == n and c.repelling]
+    The repelling roots and the points of the rings of every period m | n
+    must match one to one at the pairing tolerance (OrbitMatchingError),
+    and the roots left over must number the sidecar's non-repelling fixed
+    points of f^n (IncompleteCensusError).
+    """
+    tree_pts = np.concatenate([rings[m].ravel() for m in divisors(n)])
+    roots = _roots_route(map_spec, n)
+    rep = roots[np.abs(1.0 + fn_shift(map_spec, roots, n)[1]) > 1.0]
+    m_tr, m_rt = _match_counts(tree_pts, rep), _match_counts(rep, tree_pts)
+    if m_tr != tree_pts.size or m_rt != rep.size:
+        raise OrbitMatchingError(
+            f"tree/roots repelling sets disagree at n = {n}: "
+            f"{tree_pts.size} vs {rep.size} points, "
+            f"{tree_pts.size - m_tr} and {rep.size - m_rt} unmatched"
+        )
+    left, want = roots.size - rep.size, db.nonrepelling_level_count(n)
+    if left != want:
+        raise IncompleteCensusError(
+            f"roots route finds {left} non-repelling fixed points at n = {n}, "
+            f"the sidecar has {want}"
+        )
 
 
 def _complete_entry(
@@ -634,19 +557,7 @@ def _newton_cycles(map_spec: RationalMapSpec, starts: np.ndarray, k: int):
     times |(f^k)' - 1|, so on cycles with a large multiplier it rejects
     limits that sit on the cycle to roundoff.
     """
-    z = np.array(starts, dtype=complex)
-    active = np.ones(z.size, dtype=bool)
-    for _ in range(NEWTON_ITERS):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        f_val, df_val, bad = fn_shift(map_spec, z[idx], k)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = f_val / df_val
-        step = np.where(bad | ~np.isfinite(step), 0.0, step)
-        z[idx] -= step
-        done = bad | (np.abs(step) <= 1e-14 * (1.0 + np.abs(z[idx])))
-        active[idx[done]] = False
+    z = newton_polish(map_spec, starts, k)
     f_val, df_val, bad = fn_shift(map_spec, z, k)
     with np.errstate(divide="ignore", invalid="ignore"):
         step = np.abs(f_val / df_val)
@@ -666,9 +577,13 @@ def _name_cycles(map_spec: RationalMapSpec, z: np.ndarray, k: int):
     cycle through z[i].
     """
     pts = _dedup(z)
-    ring = _forward_orbit(map_spec, pts, k)
-    first = np.lexsort((ring.imag, ring.real), axis=0)[0]
-    least = ring[first, np.arange(pts.size)]
+    # the lexicographically least point of each forward orbit; a strict
+    # less-than keeps the first of two equal points
+    least = w = pts
+    for _ in range(k - 1):
+        w = map_values(map_spec, w)
+        less = (w.real < least.real) | ((w.real == least.real) & (w.imag < least.imag))
+        least = np.where(less, w, least)
     # one Newton polish per named point: least points read off the raw
     # forward orbit drift apart by more than the pairing tolerance
     reps = _dedup(newton_polish(map_spec, _dedup(least), k))

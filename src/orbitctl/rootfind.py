@@ -54,20 +54,23 @@ def fn_shift(map_spec: RationalMapSpec, z: np.ndarray, n: int):
 
 
 def newton_polish(map_spec: RationalMapSpec, z: np.ndarray, n: int) -> np.ndarray:
-    """Newton iteration on f^n(z) - z from already-close starting points.
+    """Newton iteration on f^n(z) - z, point by point.
 
-    Stops once every step is below 1e-14 (1 + max |z|), or after NEWTON_ITERS
-    steps.
+    A point stops once its step is at most 1e-14 (1 + |z|) or its orbit
+    leaves the numeric range; every point stops after NEWTON_ITERS steps.
     """
-    z = np.array(z, dtype=complex)
+    z = np.array(z, dtype=complex).ravel()
+    active = np.arange(z.size)
     for _ in range(NEWTON_ITERS):
-        f_val, df_val, bad = fn_shift(map_spec, z, n)
+        if active.size == 0:
+            break
+        f_val, df_val, bad = fn_shift(map_spec, z[active], n)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = f_val / df_val
         step = np.where(bad | ~np.isfinite(step), 0.0, step)
-        z = z - step
-        if np.max(np.abs(step), initial=0.0) < 1e-14 * (1.0 + np.max(np.abs(z), initial=0.0)):
-            break
+        z[active] -= step
+        done = bad | (np.abs(step) <= 1e-14 * (1.0 + np.abs(z[active])))
+        active = active[~done]
     return z
 
 

@@ -27,13 +27,30 @@ def rows_of(text):
 # ---- config parsing ----------------------------------------------------------
 
 def test_parse_config_minimal():
-    cfg = cli.parse_config({"n_max": 10, "method": "roots"})
-    assert cfg == {"n_max": 10, "method": "roots"}
+    cfg = cli.parse_config({"n_max": 10, "method": "both"})
+    assert cfg == {"n_max": 10, "method": "both"}
 
 
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown config key 'frobnicate'"):
         cli.parse_config({"frobnicate": 1})
+
+
+@pytest.mark.parametrize("method", ["roots", "frobnicate"])
+def test_parse_config_rejects_unknown_method(method):
+    with pytest.raises(ConfigError, match="'method' must be one of auto, backward, both"):
+        cli.parse_config({"method": method})
+
+
+def test_unknown_method_exits_2(capsys, tmp_path, square_file):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"map": square_file, "method": "roots"}))
+    code, _, err = run(capsys, "enumerate", "--n-max", "3", "--config", str(cfg),
+                       "--cache-dir", str(tmp_path / "c"))
+    assert code == 2 and json.loads(err)["error"] == "ConfigError"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["enumerate", "--map", square_file, "--n-max", "3", "--method", "roots"])
+    assert exc.value.code == 2
 
 
 def test_parse_config_rejects_bad_range():

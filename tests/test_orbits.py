@@ -1,4 +1,4 @@
-"""Fixed-point enumeration, orbit classification, and census bookkeeping."""
+"""Fixed-point enumeration, cycle records, and census bookkeeping."""
 
 import cmath
 import json
@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from orbitctl import maps, orbits
+from orbitctl import maps, orbits, rootfind
 from orbitctl.errors import (
     DegreeOverflowError,
     FingerprintMismatchError,
     IncompleteCensusError,
     MathDomainError,
+    OrbitMatchingError,
     VersionMismatchError,
 )
 
@@ -55,18 +56,28 @@ def test_methods_agree_point_for_point():
         dist, idx = tree.query(np.c_[via_backward.real, via_backward.imag])
         assert dist.max() < 1e-9
         assert len(set(idx)) == len(via_backward)
-        # and the non-repelling remainder is exactly the attracting basin's share
-        classified = orbits.classify_orbits(spec, via_roots, n)
-        rep_points = sum(o.period for o in classified if o.repelling)
-        assert rep_points == len(via_backward)
+        # the repelling roots are exactly the backward points, and the
+        # non-repelling remainder is the attracting fixed point alone
+        repelling = np.abs(1.0 + rootfind.fn_shift(spec, via_roots, n)[1]) > 1.0
+        assert np.count_nonzero(repelling) == len(via_backward)
+        assert np.count_nonzero(~repelling) == 1
 
 
 def test_backward_closes_deep_levels(basilica):
     # forward images of cycles that pass near the critical point drift by
     # far more than the pairing tolerance unless every point is polished
     pts = orbits.fixed_points(basilica, 16, method="backward")
-    cycles = orbits.classify_orbits(basilica, pts, 16)
-    assert sum(1 for c in cycles if c.period == 16) == (2**16 - 2**8) // 16
+    assert pts.size == 2**16 - 2  # all but the superattracting 2-cycle {0, -1}
+    images = maps.map_values(basilica, pts)
+    dist, nxt = cKDTree(np.c_[pts.real, pts.imag]).query(np.c_[images.real, images.imag])
+    assert dist.max() <= orbits.PAIR_TOL
+    assert np.unique(nxt).size == pts.size
+    # points of least period 16 are the ones f^8 moves
+    eighth = nxt
+    for _ in range(7):
+        eighth = nxt[eighth]
+    primitive = np.count_nonzero(eighth != np.arange(pts.size))
+    assert primitive / 16 == (2**16 - 2**8) // 16
 
 
 def test_backward_census_walks_the_tree_once(basilica, monkeypatch):
@@ -78,8 +89,6 @@ def test_backward_census_walks_the_tree_once(basilica, monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(orbits, name, counted)
-    # cycles come off the tree whole: no regrouping of points
-    monkeypatch.setattr(orbits, "classify_orbits", None)
     db = orbits.OrbitDatabase.for_map(basilica)
     orbits.enumerate_primitive(basilica, 8, db)
     assert calls == {"_tree_levels": 2, "_level_cycles": 8 + 6}
@@ -110,32 +119,44 @@ def test_roots_method_degree_cap(square):
         orbits.fixed_points(square, 20, method="roots")
 
 
-def test_classify_square_level2(square):
-    pts = orbits.fixed_points(square, 2, method="roots")
-    by_period = {}
-    for orb in orbits.classify_orbits(square, pts, 2):
-        by_period.setdefault(orb.period, []).append(orb)
-    zero = [o for o in by_period[1] if abs(o.representative) < 1e-9][0]
-    one = [o for o in by_period[1] if abs(o.representative - 1.0) < 1e-9][0]
-    assert not zero.repelling and zero.log_abs_multiplier == -math.inf
+def test_classify_square_level2(square_db):
+    ent1, ent2 = square_db.entries[1], square_db.entries[2]
+    (zero,) = ent1.nonrepelling
+    assert abs(zero.representative) < 1e-9
+    assert zero.log_abs_multiplier == -math.inf and zero.holonomy_angle == 0.0
+    (one,) = ent1.orbits
+    assert abs(one.representative - 1.0) < 1e-9
     assert one.repelling and one.log_abs_multiplier == pytest.approx(LOG2, abs=1e-10)
-    (two,) = by_period[2]
-    assert two.primitive and two.repelling
+    (two,) = ent2.orbits
+    assert two.period == 2 and two.primitive and two.repelling
     assert two.log_abs_multiplier == pytest.approx(2 * LOG2, abs=1e-10)
-    # period-1 points are not primitive at level 2
-    assert not zero.primitive and not one.primitive
+    assert ent2.nonrepelling == ()
 
 
-def test_classify_basilica_level2(basilica):
-    pts = orbits.fixed_points(basilica, 2, method="roots")
-    got = orbits.classify_orbits(basilica, pts, 2)
-    super_cycle = [o for o in got if o.period == 2]
-    assert len(super_cycle) == 1
-    assert not super_cycle[0].repelling  # {0, -1} contains the critical point
-    fixed = sorted((o for o in got if o.period == 1), key=lambda o: o.representative.real)
+def test_classify_basilica_level2(basilica_db):
+    (super_cycle,) = basilica_db.entries[2].nonrepelling
+    # {0, -1} contains the critical point
+    assert not super_cycle.repelling and super_cycle.log_abs_multiplier == -math.inf
+    assert basilica_db.entries[2].orbits == ()
+    fixed = sorted(basilica_db.entries[1].orbits, key=lambda o: o.representative.real)
     assert [o.repelling for o in fixed] == [True, True]
     assert fixed[0].log_abs_multiplier == pytest.approx(math.log(2 * (PHI - 1)), abs=1e-10)
     assert fixed[1].log_abs_multiplier == pytest.approx(math.log(2 * PHI), abs=1e-10)
+
+
+@pytest.mark.parametrize("drop, error", [
+    (slice(None, -1), OrbitMatchingError),     # z = 1, a repelling fixed point
+    (slice(1, None), IncompleteCensusError),   # z = 0, the superattracting one
+])
+def test_both_checks_every_root(square, monkeypatch, drop, error):
+    # 'both' records nothing unless Aberth's repelling roots match the
+    # tree's ring points and the rest match the non-repelling sidecar
+    roots_route = orbits._roots_route
+    monkeypatch.setattr(orbits, "_roots_route", lambda spec, n: roots_route(spec, n)[drop])
+    db = orbits.OrbitDatabase.for_map(square)
+    with pytest.raises(error, match="at n = 1"):
+        orbits.enumerate_primitive(square, 3, db, method="both")
+    assert db.max_complete_period() == 0
 
 
 def test_primitive_counts_square(square_db):
