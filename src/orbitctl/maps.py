@@ -50,8 +50,8 @@ def _trimmed(coeffs) -> tuple[complex, ...]:
 
 def _horner(coeffs: tuple[complex, ...], z):
     """Evaluate an ascending-coefficient polynomial at z (scalar or array)."""
-    acc = 0j
-    for c in reversed(coeffs):
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
         acc = acc * z + c
     return acc
 
@@ -135,9 +135,6 @@ class RationalMapSpec:
         den = [complex(re, im) for re, im in den_raw] if den_raw else [1.0]
         return cls(tuple(num), tuple(den))
 
-    def __call__(self, z):
-        return evaluate(self, z)
-
 
 def load_map(path) -> RationalMapSpec:
     """Read a map from a JSON file with 'numerator'/'denominator' keys."""
@@ -167,26 +164,31 @@ def derivative(map_spec: RationalMapSpec, z: complex) -> complex:
     return complex(dpv * qv - pv * dqv) / complex(qv * qv)
 
 
+def _map_and_derivative(map_spec: RationalMapSpec, z: np.ndarray):
+    """(f(z), f'(z)) over an array z, nan at poles: the quotient rule's one
+    vectorized home.  A polynomial (denominator exactly 1) skips Q, Q' and
+    the division, which are exact there on finite values."""
+    pv = _horner(map_spec.numerator, z)
+    dpv = _horner(map_spec._dnum, z)
+    if map_spec.denominator == (1,):
+        return pv, dpv
+    qv = _horner(map_spec.denominator, z)
+    dqv = _horner(map_spec._dden, z)
+    pole = np.abs(qv) < POLE_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(pole, np.nan + 0j, pv / qv)
+        fp = np.where(pole, np.nan + 0j, (dpv * qv - pv * dqv) / (qv * qv))
+    return f, fp
+
+
 def map_values(map_spec: RationalMapSpec, z: np.ndarray) -> np.ndarray:
     """Vectorized f(z); poles become nan rather than raising."""
-    z = np.asarray(z, dtype=complex)
-    qv = _horner(map_spec.denominator, z)
-    pv = _horner(map_spec.numerator, z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = pv / qv
-    return np.where(np.abs(qv) < POLE_FLOOR, np.nan + 0j, out)
+    return _map_and_derivative(map_spec, np.asarray(z, dtype=complex))[0]
 
 
 def derivative_values(map_spec: RationalMapSpec, z: np.ndarray) -> np.ndarray:
     """Vectorized f'(z); poles become nan rather than raising."""
-    z = np.asarray(z, dtype=complex)
-    qv = _horner(map_spec.denominator, z)
-    pv = _horner(map_spec.numerator, z)
-    dpv = _horner(map_spec._dnum, z)
-    dqv = _horner(map_spec._dden, z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (dpv * qv - pv * dqv) / (qv * qv)
-    return np.where(np.abs(qv) < POLE_FLOOR, np.nan + 0j, out)
+    return _map_and_derivative(map_spec, np.asarray(z, dtype=complex))[1]
 
 
 def cycle_multiplier(map_spec: RationalMapSpec, z: complex, n: int) -> tuple[float, float]:
@@ -260,6 +262,7 @@ class CriticalOrbitStatus:
     status: str  # attracting-cycle | escapes | neutral-cycle | repelling-cycle | undecided
     period: int | None = None
     multiplier_abs: float | None = None
+    cycle_point: complex | None = None  # a point of the cycle the orbit settles on
 
 
 @dataclass(frozen=True)
@@ -306,12 +309,11 @@ def _critical_orbit_status(
     w = tail[-1]
     for _ in range(20 * period):
         w = evaluate(map_spec, w)
-    mult = 1.0 + 0j
-    c = w
+    mult, c = 1.0 + 0j, np.asarray([w])
     for _ in range(period):
-        mult *= derivative_values(map_spec, np.asarray([c]))[0]
-        c = evaluate(map_spec, c)
-    if abs(c - w) > 1e-5 * (1.0 + abs(w)):
+        c, fp = _map_and_derivative(map_spec, c)
+        mult *= fp[0]
+    if abs(c[0] - w) > 1e-5 * (1.0 + abs(w)):
         return CriticalOrbitStatus(z0, "undecided", period=period)
     mag = abs(mult)
     if mag < 1.0 - 1e-6:
@@ -320,7 +322,7 @@ def _critical_orbit_status(
         status = "neutral-cycle"
     else:
         status = "repelling-cycle"
-    return CriticalOrbitStatus(z0, status, period=period, multiplier_abs=mag)
+    return CriticalOrbitStatus(z0, status, period=period, multiplier_abs=mag, cycle_point=w)
 
 
 def hyperbolicity_probe(map_spec: RationalMapSpec) -> HyperbolicityReport:

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import maps as maps_mod
 from .errors import (
     DegreeOverflowError,
     FingerprintMismatchError,
@@ -51,7 +50,7 @@ from .maps import (
     DERIV_FLOOR,
     TWO_PI,
     RationalMapSpec,
-    _horner,
+    _map_and_derivative,
     derivative_values,
     hyperbolicity_probe,
     map_values,
@@ -71,7 +70,7 @@ METHODS = ("auto", "backward", "both")
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """One cycle, keyed by its lexicographically least point.
+    """One cycle, keyed by its least point (see _precedes for the order).
 
     log_abs_multiplier is -inf for superattracting cycles (multiplier 0),
     in which case the holonomy angle is stored as 0.0 and carries no
@@ -266,11 +265,21 @@ def _backward_route(map_spec: RationalMapSpec, n: int) -> np.ndarray:
 
 # ---- cycle records -------------------------------------------------------
 
+def _precedes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise: a names a cycle before b.  Least real part first; real
+    parts within a few ulps of 1 + |z| tie, and the larger imaginary part
+    wins, so the upper of two conjugate points names a self-conjugate cycle."""
+    tol = 4 * np.finfo(float).eps * (1.0 + np.maximum(np.abs(a), np.abs(b)))
+    return (a.real < b.real - tol) | ((np.abs(a.real - b.real) <= tol) & (a.imag > b.imag))
+
+
 def _least_first(ring: np.ndarray) -> np.ndarray:
     """A ring, whose row j holds the j-th points of its cycles, with every
-    column rotated to start at its lexicographically least point."""
+    column rotated to start at its least point by _precedes."""
     k, cycles = ring.shape
-    start = np.lexsort((ring.imag, ring.real), axis=0)[0]
+    start = np.zeros(cycles, dtype=np.int64)
+    for j in range(1, k):
+        start[_precedes(ring[j], ring[start, np.arange(cycles)])] = j
     return ring[(start + np.arange(k)[:, None]) % k, np.arange(cycles)]
 
 
@@ -307,11 +316,7 @@ def _register_critical_cycles(map_spec: RationalMapSpec, db: OrbitDatabase):
     for status in report.critical_orbit_summary:
         if status.status != "attracting-cycle" or status.period is None:
             continue
-        # settle the critical orbit onto its limit cycle, then polish
-        w = complex(status.point)
-        for _ in range(600):
-            w = maps_mod.evaluate(map_spec, w)
-        w = newton_polish(map_spec, np.asarray([w]), status.period)
+        w = newton_polish(map_spec, np.asarray([status.cycle_point]), status.period)
         for orb in _ring_orbits(map_spec, _least_first(_forward_orbit(map_spec, w, status.period))):
             if not orb.repelling:
                 _merge_nonrepelling(db, orb)
@@ -459,7 +464,7 @@ def preimages(map_spec: RationalMapSpec, w) -> np.ndarray:
     """All d solutions of f(z) = w for every w at once, shape (N, d).
 
     The roots of P - w Q are the eigenvalues of a stack of companion
-    matrices; two vectorized Newton steps on P - w Q polish them.  A
+    matrices; two vectorized Newton steps on f(z) = w polish them.  A
     preimage at infinity (possible only when deg Q = d) comes back as nan.
     """
     w = np.asarray(w, dtype=complex).ravel()
@@ -476,12 +481,15 @@ def preimages(map_spec: RationalMapSpec, w) -> np.ndarray:
     comp[finite, :, -1] = -coeffs[finite, :d] / lead[finite, None]
     z = np.linalg.eigvals(comp)
     z[~finite] = np.nan
-    ww = w[:, None]
-    for _ in range(2):
+    return _newton_on_f(map_spec, z, w[:, None], 2)
+
+
+def _newton_on_f(map_spec: RationalMapSpec, z: np.ndarray, w, steps: int) -> np.ndarray:
+    """steps Newton steps on f(z) = w from z; a non-finite step is skipped."""
+    for _ in range(steps):
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = _horner(map_spec.numerator, z) - ww * _horner(map_spec.denominator, z)
-            dg = _horner(map_spec._dnum, z) - ww * _horner(map_spec._dden, z)
-            step = g / dg
+            f, fp = _map_and_derivative(map_spec, z)
+            step = (f - w) / fp
         z = z - np.where(np.isfinite(step), step, 0.0)
     return z
 
@@ -539,71 +547,67 @@ def _pull_back(map_spec: RationalMapSpec, levels, parents, k: int, idx: np.ndarr
         node = parents[j][node]
     q = levels[k][idx]
     for ref in reversed(path):
-        u = ref
-        for _ in range(4):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = (map_values(map_spec, u) - q) / derivative_values(map_spec, u)
-            u = u - np.where(np.isfinite(step), step, 0.0)
-        q = u
+        q = _newton_on_f(map_spec, ref, q, 4)
     return q
 
 
 def _newton_cycles(map_spec: RationalMapSpec, starts: np.ndarray, k: int):
     """Newton on f^k(z) = z from each start.
 
-    Returns (z, multiplier, ok): ok marks the limits that close up, have
-    least period k, and repel.  A limit closes up when its Newton step
-    |F/F'| is below 1e-12 (1 + |z|).  The raw residual |F| is that step
-    times |(f^k)' - 1|, so on cycles with a large multiplier it rejects
-    limits that sit on the cycle to roundoff.
+    Returns (z, multiplier, ok): ok marks the limits that close up
+    (_off_cycle), have least period k, and repel.
     """
     z = newton_polish(map_spec, starts, k)
-    f_val, df_val, bad = fn_shift(map_spec, z, k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.abs(f_val / df_val)
-    ok = ~bad & (step < 1e-12 * (1.0 + np.abs(z))) & (np.abs(df_val + 1.0) > 1.0)
+    off, mult = _off_cycle(map_spec, z, k)
+    ok = ~off & (np.abs(mult) > 1.0)
     closed = np.nonzero(ok)[0]
     ring = _forward_orbit(map_spec, z[closed], k)
     for m in divisors(k)[:-1]:
         ok[closed] &= np.abs(ring[m] - z[closed]) > PAIR_TOL * (1.0 + np.abs(z[closed]))
-    return z, df_val + 1.0, ok
+    return z, mult, ok
+
+
+def _off_cycle(map_spec: RationalMapSpec, z: np.ndarray, k: int):
+    """(off, (f^k)'(z)): off marks the points whose Newton step |F/F'| on
+    f^k(z) = z exceeds 1e-12 (1 + |z|) or whose orbit leaves the range.
+    The raw residual |F| is that step times |(f^k)' - 1|, so on cycles with a
+    large multiplier it would reject points on the cycle to roundoff."""
+    f_val, df_val, bad = fn_shift(map_spec, z, k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = bad | ~(np.abs(f_val / df_val) < 1e-12 * (1.0 + np.abs(z)))
+    return off, df_val + 1.0
 
 
 def _name_cycles(map_spec: RationalMapSpec, z: np.ndarray, k: int):
     """Sort primitive period-k points into cycles.
 
-    Returns (cycle, reps): reps holds each distinct cycle's
-    lexicographically least point and cycle[i] the index in reps of the
-    cycle through z[i].
+    Returns (cycle, reps): reps holds each distinct cycle's least point
+    (_precedes) and cycle[i] the index in reps of the cycle through z[i].
     """
     pts = _dedup(z)
-    # the lexicographically least point of each forward orbit; a strict
-    # less-than keeps the first of two equal points
+    # the least point of each forward orbit; of two that tie, the first
     least = w = pts
     for _ in range(k - 1):
         w = map_values(map_spec, w)
-        less = (w.real < least.real) | ((w.real == least.real) & (w.imag < least.imag))
-        least = np.where(less, w, least)
+        least = np.where(_precedes(w, least), w, least)
     # one Newton polish per named point: least points read off the raw
     # forward orbit drift apart by more than the pairing tolerance
     reps = _dedup(newton_polish(map_spec, _dedup(least), k))
     # least points that tie in roundoff can name one cycle twice: keep the
-    # lowest-index name among the names each cycle's orbit passes through
+    # least of the names each name's orbit passes (nan where it meets none)
     tree = cKDTree(np.column_stack([reps.real, reps.imag]))
     rep_ring = _forward_orbit(map_spec, reps, k).ravel()
     tol = 1e-8 * (1.0 + np.abs(rep_ring))
     xy = np.column_stack([rep_ring.real, rep_ring.imag])
     dist, near = tree.query(xy, k=1, distance_upper_bound=tol.max(initial=0.0))
     near = np.where(dist <= tol, near, reps.size)
-    label = near.reshape(k, reps.size).min(axis=0)
-    heads = np.nonzero(label == np.arange(reps.size))[0]
-    slot = np.full(reps.size, -1, dtype=np.int64)
-    slot[heads] = np.arange(heads.size)
+    best = _least_first(np.append(reps, np.nan)[near.reshape(k, reps.size)])[0]
+    heads, slot = np.unique(best, return_inverse=True)
     _, name = tree.query(np.column_stack([least.real, least.imag]), k=1)
     _, at = cKDTree(np.column_stack([pts.real, pts.imag])).query(
         np.column_stack([z.real, z.imag]), k=1
     )
-    return slot[label[name[at]]], reps[heads]
+    return slot[name[at]], heads
 
 
 def _level_cycles(map_spec: RationalMapSpec, levels, parents, k: int):
@@ -637,9 +641,8 @@ def _tree_cycles(map_spec: RationalMapSpec, depths):
     from its least point, every point polished on f^k.  Plain forward
     iteration multiplies roundoff by the partial multipliers, which grow
     large along many cycles; polishing each point keeps the ring on its
-    cycle.  The polished image of each ring's last
-    point must come back to its first within the pairing tolerance, or
-    OrbitMatchingError is raised.
+    cycle.  The polished image of each ring's last point must come back to
+    its first within the pairing tolerance, or OrbitMatchingError is raised.
     """
     wanted = set(depths)
     top = max(wanted)
@@ -655,8 +658,11 @@ def _tree_cycles(map_spec: RationalMapSpec, depths):
             miss = np.abs(newton_polish(map_spec, z, k) - ring[0])
             worst = float(np.max(np.nan_to_num(miss, nan=np.inf), initial=0.0))
             if worst > PAIR_TOL:
+                off, _ = _off_cycle(map_spec, ring.ravel(), k)
                 raise OrbitMatchingError(
-                    f"a period-{k} ring fails to close by {worst:.3e} (tol {PAIR_TOL:.1e})"
+                    f"a period-{k} ring fails to close by {worst:.3e} (tol {PAIR_TOL:.1e});"
+                    f" {np.count_nonzero(off)} of {off.size} ring points still have a Newton"
+                    " step above 1e-12 (1 + |z|)"
                 )
             yield k, _least_first(ring)
         if k == top:
@@ -667,8 +673,8 @@ def _tree_cycles(map_spec: RationalMapSpec, depths):
 class MultiplierWalk:
     """Primitive repelling cycles with log|multiplier| below log_bound.
 
-    One array entry per cycle: its period, lexicographically least point
-    and log|multiplier|.
+    One array entry per cycle: its period, least point (as in
+    PeriodicOrbit) and log|multiplier|.
     """
 
     log_bound: float

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonConvergenceError
-from .maps import RationalMapSpec, _horner
+from .maps import RationalMapSpec, _map_and_derivative
 
 _BIG = 1e150  # orbit magnitude beyond which the evaluation is abandoned
 
@@ -34,22 +34,14 @@ def fn_shift(map_spec: RationalMapSpec, z: np.ndarray, n: int):
     w = np.array(z, dtype=complex)
     deriv = np.ones_like(w)
     bad = np.zeros(w.shape, dtype=bool)
-    num, den = map_spec.numerator, map_spec.denominator
-    dnum = map_spec._dnum
-    dden = map_spec._dden
     for _ in range(n):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            qv = _horner(den, w)
-            pv = _horner(num, w)
-            dpv = _horner(dnum, w)
-            dqv = _horner(dden, w)
-            fp = (dpv * qv - pv * dqv) / (qv * qv)
-            w = pv / qv
-            deriv = deriv * fp
-        bad |= ~np.isfinite(w.real) | ~np.isfinite(w.imag)
-        bad |= np.abs(w) > _BIG
-        w = np.where(bad, 0.0, w)
-        deriv = np.where(bad, 1.0, deriv)
+            w, fp = _map_and_derivative(map_spec, w)
+            deriv *= fp
+            bad |= ~(np.abs(w) <= _BIG)  # also catches inf and nan
+        if bad.any():
+            w[bad] = 0.0
+            deriv[bad] = 1.0
     return w - z, deriv - 1.0, bad
 
 

@@ -207,6 +207,27 @@ def test_profile_bad_alpha_is_config_error(capsys, tmp_path, basilica_file):
     assert json.loads(err)["error"] == "ConfigError"
 
 
+def test_parser_serves_every_call_without_carrying_flags(capsys, tmp_path, basilica_file):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ("profile", "--map", basilica_file, "--n", "6", "--cache-dir", str(tmp_path / "cache"))
+    code, out, _ = run(capsys, *argv, "--alpha", "0.6", "--alpha", "0.7")
+    assert code == 0 and len(rows_of(out)) == 3
+    code, out, _ = run(capsys, *argv, "--alpha", "0.6")
+    assert code == 0 and len(rows_of(out)) == 2
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "--maxent" in json.loads(err)["message"]
+
+
+def test_unexpected_error_exits_1(capsys, monkeypatch, tmp_path, square_file):
+    def boom(*args, **kwargs):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setattr(cli, "load_or_build_db", boom)
+    code, _, err = run(capsys, "enumerate", "--map", square_file, "--n-max", "3",
+                       "--cache-dir", str(tmp_path / "cache"))
+    assert code == 1
+    assert json.loads(err) == {"error": "RuntimeError", "message": "disk on fire", "exit_code": 1}
+
 def test_dimension_both_routes(capsys, tmp_path, square_file):
     code, out, _ = run(
         capsys, "dimension", "--map", square_file, "--route", "both",

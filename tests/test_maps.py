@@ -37,12 +37,16 @@ def test_derivative_matches_finite_difference(basilica):
 
 
 def test_vector_evaluation_matches_scalar(basilica):
+    halved = maps.RationalMapSpec(numerator=(-2.0, 0.0, 2.0), denominator=(2.0,))
+    rational = maps.RationalMapSpec(numerator=(0.1, 0.0, 1.0), denominator=(1.0, 0.3))
     zs = np.array([0.3 + 0.4j, -1.1 + 0.2j, 2.0 - 0.5j, 0.01j])
-    vals = maps.map_values(basilica, zs)
-    ders = maps.derivative_values(basilica, zs)
-    for i, z in enumerate(zs):
-        assert vals[i] == pytest.approx(maps.evaluate(basilica, complex(z)))
-        assert ders[i] == pytest.approx(maps.derivative(basilica, complex(z)))
+    # a polynomial over a constant that is not 1 takes the quotient rule
+    for spec in (basilica, halved, rational):
+        vals = maps.map_values(spec, zs)
+        ders = maps.derivative_values(spec, zs)
+        for i, z in enumerate(zs):
+            assert vals[i] == pytest.approx(maps.evaluate(spec, complex(z)))
+            assert ders[i] == pytest.approx(maps.derivative(spec, complex(z)))
 
 
 def test_cycle_multiplier_fixed_point(square):

@@ -159,6 +159,38 @@ def test_both_checks_every_root(square, monkeypatch, drop, error):
     assert db.max_complete_period() == 0
 
 
+def test_unclosed_ring_counts_unpolished_points(basilica, monkeypatch):
+    # the ring polish runs out of budget: the level's names sit 1e-6 off
+    # their cycles and newton_polish then takes no step
+    level_cycles = orbits._level_cycles
+
+    def unpolished(*args):
+        hit, reps, mult = level_cycles(*args)
+        monkeypatch.setattr(rootfind, "NEWTON_ITERS", 0)
+        return hit, reps + 1e-6, mult
+
+    monkeypatch.setattr(orbits, "_level_cycles", unpolished)
+    # the basilica's two 3-cycles hold 6 points
+    with pytest.raises(OrbitMatchingError, match="6 of 6 ring points still have a Newton step"):
+        list(orbits._tree_cycles(basilica, [3]))
+
+
+@pytest.mark.parametrize("key", ["square", "square_plus"])
+def test_self_conjugate_cycles_named_above_the_axis(ctx, key):
+    # a real map's self-conjugate cycle has two least points, conjugate to
+    # each other with real parts equal up to roundoff: the upper one names it
+    spec, db = ctx.spec(key), ctx.db(key, 12)
+    self_conjugate = 0
+    for n in range(1, 13):
+        for orb in db.entries[n].orbits:
+            z = orb.representative
+            ring = orbits._forward_orbit(spec, np.array([z]), n)[:, 0]
+            if np.abs(ring - z.conjugate()).min() < 1e-9 * (1.0 + abs(z)):
+                self_conjugate += 1
+                assert z.imag >= 0.0, (n, z)
+    assert self_conjugate == 14
+
+
 def test_primitive_counts_square(square_db):
     # repelling primitive cycles of the doubling map: (1/n) sum_{m|n} mu(n/m) 2^m,
     # minus the superattracting fixed point at level 1

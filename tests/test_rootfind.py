@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitctl import maps, rootfind
+from orbitctl import maps, orbits, rootfind
 
 
 def sorted_points(pts):
@@ -62,19 +62,42 @@ def test_residuals_infinite_on_escape(square):
     assert np.isinf(res[0])
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.complex_numbers(min_magnitude=0.2, max_magnitude=1.6, allow_nan=False),
-    st.integers(min_value=1, max_value=5),
-)
-def test_fn_shift_matches_direct_composition(z, n):
-    bas = maps.RationalMapSpec(numerator=(-1.0, 0.0, 1.0), denominator=(1.0,))
-    f_val, df_val, bad = rootfind.fn_shift(bas, np.array([z]), n)
-    assert not bad[0]
+BASILICA = maps.RationalMapSpec(numerator=(-1.0, 0.0, 1.0), denominator=(1.0,))
+# a polynomial over a constant that is not 1 must take the quotient rule
+HALVED = maps.RationalMapSpec(numerator=(-2.0, 0.0, 2.0), denominator=(2.0,))
+RATIONAL = maps.RationalMapSpec(numerator=(0.1, 0.0, 1.0), denominator=(1.0, 0.3))
+
+
+def composed(spec, z, n):
+    """(f^n(z) - z, (f^n)'(z) - 1) by the scalar maps.evaluate/derivative."""
     w = z
     dw = 1.0 + 0j
     for _ in range(n):
-        dw *= maps.derivative(bas, w)
-        w = maps.evaluate(bas, w)
-    assert f_val[0] == pytest.approx(w - z, rel=1e-9, abs=1e-9)
-    assert df_val[0] == pytest.approx(dw - 1.0, rel=1e-9, abs=1e-9)
+        dw *= maps.derivative(spec, w)
+        w = maps.evaluate(spec, w)
+    return w - z, dw - 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([BASILICA, HALVED, RATIONAL]),
+    st.complex_numbers(min_magnitude=0.2, max_magnitude=1.6, allow_nan=False),
+    st.integers(min_value=1, max_value=5),
+)
+def test_fn_shift_matches_direct_composition(spec, z, n):
+    f_val, df_val, bad = rootfind.fn_shift(spec, np.array([z]), n)
+    assert not bad[0]
+    f_want, df_want = composed(spec, z, n)
+    assert f_val[0] == pytest.approx(f_want, rel=1e-9, abs=1e-9)
+    assert df_val[0] == pytest.approx(df_want, rel=1e-9, abs=1e-9)
+
+
+def test_fn_shift_flags_orbit_through_pole():
+    # the pole sits at -1/0.3: the orbit of 0 misses it, and a preimage of
+    # the pole lands on it with its first step
+    z = np.array([0.0 + 0j, orbits.preimages(RATIONAL, -1.0 / 0.3)[0, 0]])
+    f_val, df_val, bad = rootfind.fn_shift(RATIONAL, z, 3)
+    assert bad.tolist() == [False, True]
+    f_want, df_want = composed(RATIONAL, 0j, 3)
+    assert f_val[0] == pytest.approx(f_want, rel=1e-12)
+    assert df_val[0] == pytest.approx(df_want, rel=1e-12)
