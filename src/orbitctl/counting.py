@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError, IncompleteCensusError
+from .errors import DomainError
 from .maps import RationalMapSpec
 from .orbits import OrbitDatabase, multiplier_bounded_orbits
 from .thermo import ThermoProfile
@@ -36,15 +36,6 @@ class CountQuery:
     interval: tuple[float, float]       # closed, on the u = r_n - n*alpha axis
     arc_center: float = 0.0             # radians
     arc_width: float = 1.0              # fraction of the circle; >= 1 means all
-
-
-def _level_orbit_data(db: OrbitDatabase, n: int):
-    ent = db.entries.get(n)
-    if ent is None or not ent.complete:
-        raise IncompleteCensusError(f"period {n} not enumerated to completion")
-    r = np.array([o.log_abs_multiplier for o in ent.orbits], dtype=float)
-    th = np.array([o.holonomy_angle for o in ent.orbits], dtype=float)
-    return r, th
 
 
 def wrapped_fraction(theta, center: float = 0.0):
@@ -61,10 +52,10 @@ def _arc_mask(theta: np.ndarray, center: float, width: float) -> np.ndarray:
 
 def count_orbits(db: OrbitDatabase, query: CountQuery) -> int:
     """Sharp count of primitive level-n orbits in interval x arc."""
-    r, th = _level_orbit_data(db, query.n)
-    u = r - query.n * query.alpha
+    ent = db.level(query.n)
+    u = ent.log_abs - query.n * query.alpha
     a, b = query.interval
-    inside = (u >= a) & (u <= b) & _arc_mask(th, query.arc_center, query.arc_width)
+    inside = (u >= a) & (u <= b) & _arc_mask(ent.theta, query.arc_center, query.arc_width)
     return int(inside.sum())
 
 
@@ -148,8 +139,8 @@ def smoothed_count(
     """
     from .thermo import level_terms
 
-    r, th = _level_orbit_data(db, n)
-    u = r - n * alpha
+    ent = db.level(n)
+    u = ent.log_abs - n * alpha
 
     def weight(uu, tt):
         w = np.ones(uu.shape, dtype=float)
@@ -159,7 +150,7 @@ def smoothed_count(
             w = w * arc_window(tt)
         return w
 
-    value = float(np.sum(weight(u, th)))
+    value = float(np.sum(weight(u, ent.theta)))
     r_all, th_all, w_all = level_terms(db, n)
     u_all = r_all - n * alpha
     fixed_value = float(np.sum(w_all * weight(u_all, th_all))) / n
@@ -168,7 +159,7 @@ def smoothed_count(
         fixed_point_value=fixed_value,
         gap=abs(value - fixed_value),
         n=n,
-        sample_size=int(r.size),
+        sample_size=int(u.size),
     )
 
 
@@ -199,12 +190,13 @@ def weyl_sums(
     With alpha and interval given, only orbits whose centered deviation
     log|lambda| - n*alpha lands in the closed interval contribute.
     """
-    r, th = _level_orbit_data(db, n)
+    ent = db.level(n)
+    th = ent.theta
     if interval is not None:
         if alpha is None:
             raise ValueError("an interval filter needs alpha")
         a, b = interval
-        u = r - n * alpha
+        u = ent.log_abs - n * alpha
         th = th[(u >= a) & (u <= b)]
     ks = tuple(int(k) for k in k_values)
     if th.size == 0:

@@ -346,7 +346,7 @@ def hyperbolicity_probe(map_spec: RationalMapSpec) -> HyperbolicityReport:
     samples: list[tuple[int, float]] = []
     try:
         for p, ring in orbits._tree_cycles(map_spec, PROBE_PERIODS):
-            samples += [(p, o.log_abs_multiplier) for o in orbits._ring_orbits(map_spec, ring)]
+            samples += [(p, r) for r in orbits._ring_orbits(map_spec, ring)[1].tolist()]
     except MathDomainError:
         pass
 

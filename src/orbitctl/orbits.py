@@ -33,7 +33,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -85,13 +87,33 @@ class PeriodicOrbit:
     repelling: bool
 
 
-@dataclass(frozen=True)
+def _orbit(n: int, z: complex, log_abs: float, theta: float) -> PeriodicOrbit:
+    return PeriodicOrbit(n, complex(z), float(log_abs), float(theta), True, bool(log_abs > 0.0))
+
+
+@dataclass(frozen=True, eq=False)
 class PeriodEntry:
+    """One period of the census.  Its primitive repelling cycles are held as
+    read-only columns, one slot per cycle in order of least point: z (the
+    least point), log_abs (log|multiplier|) and theta (the holonomy angle)."""
+
     period: int
-    orbits: tuple[PeriodicOrbit, ...] = ()        # primitive repelling
+    z: np.ndarray = field(default_factory=lambda: np.empty(0, complex))
+    log_abs: np.ndarray = field(default_factory=lambda: np.empty(0))
+    theta: np.ndarray = field(default_factory=lambda: np.empty(0))
     nonrepelling: tuple[PeriodicOrbit, ...] = ()  # primitive non-repelling
     complete: bool = False
     method: str | None = None
+
+    def __post_init__(self):
+        for col in (self.z, self.log_abs, self.theta):
+            col.flags.writeable = False
+
+    @cached_property
+    def orbits(self) -> tuple[PeriodicOrbit, ...]:
+        """The repelling columns as records, built on first use and kept."""
+        cols = (self.z.tolist(), self.log_abs.tolist(), self.theta.tolist())
+        return tuple(_orbit(self.period, *row) for row in zip(*cols))
 
 
 @dataclass
@@ -109,11 +131,13 @@ class OrbitDatabase:
     def entry(self, n: int) -> PeriodEntry | None:
         return self.entries.get(n)
 
-    def primitive_orbits(self, n: int) -> tuple[PeriodicOrbit, ...]:
+    def level(self, n: int) -> PeriodEntry:
+        """Period n's entry, whose columns every census reader uses; raises
+        IncompleteCensusError unless the period is complete."""
         ent = self.entries.get(n)
         if ent is None or not ent.complete:
             raise IncompleteCensusError(f"period {n} not enumerated to completion")
-        return ent.orbits
+        return ent
 
     def max_complete_period(self) -> int:
         n = 0
@@ -125,12 +149,7 @@ class OrbitDatabase:
 
     def nonrepelling_level_count(self, n: int) -> int:
         """Non-repelling fixed points of f^n known to the sidecar."""
-        total = 0
-        for m in divisors(n):
-            ent = self.entries.get(m)
-            if ent is not None:
-                total += m * len(ent.nonrepelling)
-        return total
+        return sum(m * len(self.entries[m].nonrepelling) for m in divisors(n) if m in self.entries)
 
     def _set_entry(self, ent: PeriodEntry):
         self.entries[ent.period] = ent
@@ -139,8 +158,7 @@ class OrbitDatabase:
 
 
 def divisors(n: int) -> list[int]:
-    out = [m for m in range(1, n + 1) if n % m == 0]
-    return out
+    return [m for m in range(1, n + 1) if n % m == 0]
 
 
 def expected_fixed_count(map_spec: RationalMapSpec, n: int) -> int:
@@ -283,8 +301,8 @@ def _least_first(ring: np.ndarray) -> np.ndarray:
     return ring[(start + np.arange(k)[:, None]) % k, np.arange(cycles)]
 
 
-def _ring_orbits(map_spec: RationalMapSpec, ring: np.ndarray) -> list[PeriodicOrbit]:
-    """One primitive record per cycle of a ring, keyed by its first row.
+def _ring_orbits(map_spec: RationalMapSpec, ring: np.ndarray):
+    """Columns (z, log_abs, theta) of a ring's cycles, keyed by its first row.
 
     log|multiplier| and the holonomy angle are the sums of log|f'| and
     arg f' down each column; a cycle through a critical point gets -inf and
@@ -295,14 +313,7 @@ def _ring_orbits(map_spec: RationalMapSpec, ring: np.ndarray) -> list[PeriodicOr
     with np.errstate(divide="ignore"):
         log_abs = np.where(mag < DERIV_FLOOR, -np.inf, np.log(mag)).sum(axis=0)
     theta = np.arctan2(fp.imag, fp.real).sum(axis=0) % TWO_PI
-    return [
-        PeriodicOrbit(
-            period=ring.shape[0], representative=complex(z), log_abs_multiplier=float(r),
-            holonomy_angle=0.0 if r == -np.inf else float(t), primitive=True,
-            repelling=bool(r > 0.0),
-        )
-        for z, r, t in zip(ring[0], log_abs, theta)
-    ]
+    return ring[0], log_abs, np.where(log_abs == -np.inf, 0.0, theta)
 
 
 # ---- critical cycle registry ----------------------------------------------
@@ -317,9 +328,10 @@ def _register_critical_cycles(map_spec: RationalMapSpec, db: OrbitDatabase):
         if status.status != "attracting-cycle" or status.period is None:
             continue
         w = newton_polish(map_spec, np.asarray([status.cycle_point]), status.period)
-        for orb in _ring_orbits(map_spec, _least_first(_forward_orbit(map_spec, w, status.period))):
-            if not orb.repelling:
-                _merge_nonrepelling(db, orb)
+        ring = _least_first(_forward_orbit(map_spec, w, status.period))
+        for z, r, t in zip(*_ring_orbits(map_spec, ring)):
+            if not r > 0.0:
+                _merge_nonrepelling(db, _orbit(status.period, z, r, t))
     total_nonrep = sum(len(e.nonrepelling) for e in db.entries.values())
     bound = 2 * map_spec.degree - 2
     if total_nonrep > bound:
@@ -350,8 +362,8 @@ def enumerate_primitive(
     db: OrbitDatabase,
     method: str = "auto",
     override_hyperbolicity: bool = False,
-) -> list[PeriodicOrbit]:
-    """Complete every missing period 1..n; return the primitive orbits of period n.
+) -> PeriodEntry:
+    """Complete every missing period 1..n; return period n's entry.
 
     The missing periods are read off one pass over the preimage tree, one
     record per emitted cycle.  method='both' also solves each missing level
@@ -383,8 +395,8 @@ def enumerate_primitive(
                 if k not in missing:
                     continue
                 _check_roots(map_spec, db, k, rings)
-            _complete_entry(map_spec, db, k, _ring_orbits(map_spec, ring), label)
-    return list(db.entries[n].orbits)
+            _complete_entry(map_spec, db, k, *_ring_orbits(map_spec, ring), label)
+    return db.level(n)
 
 
 def _check_roots(map_spec: RationalMapSpec, db: OrbitDatabase, n: int, rings: dict):
@@ -413,11 +425,10 @@ def _check_roots(map_spec: RationalMapSpec, db: OrbitDatabase, n: int, rings: di
         )
 
 
-def _complete_entry(
-    map_spec: RationalMapSpec, db: OrbitDatabase, n: int, orbs: list[PeriodicOrbit], method: str
-):
-    """Record period n's repelling cycles once the census identity holds."""
-    rep_total = n * len(orbs) + sum(m * len(db.entries[m].orbits) for m in divisors(n)[:-1])
+def _complete_entry(map_spec: RationalMapSpec, db: OrbitDatabase, n: int, z, log_abs, theta, method):
+    """Record period n's repelling cycles, the columns of _ring_orbits, once
+    the census identity holds."""
+    rep_total = n * z.size + sum(m * db.level(m).z.size for m in divisors(n)[:-1])
     nonrep_total = db.nonrepelling_level_count(n)
     expected_total = expected_fixed_count(map_spec, n)
     if rep_total + nonrep_total != expected_total:
@@ -426,23 +437,18 @@ def _complete_entry(
             f"non-repelling != {expected_total}"
         )
     stub = db.entries.get(n) or PeriodEntry(period=n)
-    orbs = sorted(orbs, key=lambda o: (o.representative.real, o.representative.imag))
+    order = np.lexsort((z.imag, z.real))
     db._set_entry(
         PeriodEntry(
-            period=n, orbits=tuple(orbs), nonrepelling=stub.nonrepelling, complete=True,
-            method=method,
+            period=n, z=z[order], log_abs=log_abs[order], theta=theta[order],
+            nonrepelling=stub.nonrepelling, complete=True, method=method,
         )
     )
 
 
 def census_counts(map_spec: RationalMapSpec, db: OrbitDatabase, n: int) -> tuple[int, int, int]:
     """(repelling, non-repelling, expected) fixed-point counts at level n."""
-    rep_total = 0
-    for m in divisors(n):
-        ent = db.entries.get(m)
-        if ent is None or not ent.complete:
-            raise IncompleteCensusError(f"period {m} not complete")
-        rep_total += m * len(ent.orbits)
+    rep_total = sum(m * db.level(m).z.size for m in divisors(n))
     return rep_total, db.nonrepelling_level_count(n), expected_fixed_count(map_spec, n)
 
 
@@ -766,7 +772,7 @@ def census_slack(map_spec: RationalMapSpec, db: OrbitDatabase) -> WalkSlack:
         raise IncompleteCensusError("census is empty")
     dip = math.inf
     for m in range(2, n_max + 1):
-        reps = np.array([o.representative for o in db.entries[m].orbits], dtype=complex)
+        reps = db.level(m).z
         if reps.size == 0:
             continue
         ring = _forward_orbit(map_spec, reps, m)
@@ -800,7 +806,7 @@ def certify_walk(walk: MultiplierWalk, db: OrbitDatabase):
         raise IncompleteCensusError("census is empty")
     got = walk.period_counts()
     for m in range(1, n_max + 1):
-        want = sum(1 for o in db.entries[m].orbits if o.log_abs_multiplier < walk.log_bound)
+        want = int(np.count_nonzero(db.level(m).log_abs < walk.log_bound))
         if got.get(m, 0) != want:
             raise IncompleteCensusError(
                 f"multiplier walk (slack {walk.slack:.4f}) found {got.get(m, 0)} "
@@ -825,30 +831,19 @@ def multiplier_bounded_orbits(map_spec: RationalMapSpec, db: OrbitDatabase, t: f
 
 # ---- persistence -----------------------------------------------------------
 
-def _orbit_record(orb: PeriodicOrbit) -> dict:
+def _orbit_record(n: int, z: complex, log_abs: float, theta: float) -> str:
+    repelling = log_abs > 0.0
     rec = {
-        "n": orb.period,
-        "z": [orb.representative.real, orb.representative.imag],
-        "log_abs": None if math.isinf(orb.log_abs_multiplier) else orb.log_abs_multiplier,
-        "theta": orb.holonomy_angle,
-        "primitive": orb.primitive,
-        "repelling": orb.repelling,
+        "n": n,
+        "z": [z.real, z.imag],
+        "log_abs": None if math.isinf(log_abs) else log_abs,
+        "theta": theta,
+        "primitive": True,
+        "repelling": repelling,
     }
-    if not orb.repelling:
+    if not repelling:
         rec["nonrepelling"] = True
-    return rec
-
-
-def _orbit_from_record(rec: dict) -> PeriodicOrbit:
-    log_abs = rec["log_abs"]
-    return PeriodicOrbit(
-        period=int(rec["n"]),
-        representative=complex(rec["z"][0], rec["z"][1]),
-        log_abs_multiplier=float("-inf") if log_abs is None else float(log_abs),
-        holonomy_angle=float(rec["theta"]),
-        primitive=bool(rec["primitive"]),
-        repelling=bool(rec["repelling"]),
-    )
+    return json.dumps(rec, sort_keys=True)
 
 
 def save_db(db: OrbitDatabase, path):
@@ -871,10 +866,9 @@ def save_db(db: OrbitDatabase, path):
                 sort_keys=True,
             )
         )
-        for orb in ent.orbits:
-            lines.append(json.dumps(_orbit_record(orb), sort_keys=True))
-        for orb in ent.nonrepelling:
-            lines.append(json.dumps(_orbit_record(orb), sort_keys=True))
+        cols = zip(ent.z.tolist(), ent.log_abs.tolist(), ent.theta.tolist())
+        side = ((o.representative, o.log_abs_multiplier, o.holonomy_angle) for o in ent.nonrepelling)
+        lines += [_orbit_record(n, *row) for row in (*cols, *side)]
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -882,8 +876,12 @@ def save_db(db: OrbitDatabase, path):
 
 
 def load_db(path, map_spec: RationalMapSpec | None = None) -> OrbitDatabase:
+    """Read a census written by save_db into its columns.  A line that is not
+    one JSON object raises VersionMismatchError naming it; given the map, a
+    complete period that fails the census identity raises IncompleteCensusError."""
     with open(path) as fh:
-        raw = [(i, line) for i, line in enumerate(fh.read().splitlines(), start=1) if line.strip()]
+        lines = fh.read().splitlines()
+    raw = [(i, text) for i, line in enumerate(lines, start=1) if (text := line.strip())]
     if not raw:
         raise VersionMismatchError(f"{path}: empty cache file")
     try:
@@ -900,31 +898,50 @@ def load_db(path, map_spec: RationalMapSpec | None = None) -> OrbitDatabase:
         raise FingerprintMismatchError(
             f"{path}: cache fingerprint {fingerprint} does not match map {map_spec.fingerprint}"
         )
-    db = OrbitDatabase(map_fingerprint=fingerprint, hyperbolicity=header.get("hyperbolicity"))
+    decode = json.JSONDecoder().raw_decode
     meta: dict[int, dict] = {}
-    grouped: dict[int, dict[str, list[PeriodicOrbit]]] = {}
-    for lineno, line in raw[1:]:
+    rows = defaultdict(list)  # period -> (re z, im z, log_abs, theta) of each repelling record
+    side = defaultdict(list)  # period -> its non-repelling records
+    for lineno, text in raw[1:]:
         try:
-            rec = json.loads(line)
+            rec, end = decode(text)
+            if end < len(text) or not isinstance(rec, dict):
+                raise ValueError("the line is not one JSON object")
             if "period" in rec:
                 meta[int(rec["period"])] = rec
                 continue
-            orb = _orbit_from_record(rec)
+            n, z, log_abs = int(rec["n"]), rec["z"], rec["log_abs"]
+            row = (float(z[0]), float(z[1]), -math.inf if log_abs is None else float(log_abs),
+                   float(rec["theta"]))
+            if not rec["primitive"]:
+                raise ValueError("the record is not primitive")
+            repelling = bool(rec["repelling"])
         except (ValueError, KeyError, TypeError, IndexError) as exc:
             raise VersionMismatchError(
                 f"{path}: corrupted line {lineno} ({type(exc).__name__}: {exc})"
             ) from None
-        bucket = grouped.setdefault(orb.period, {"rep": [], "non": []})
-        bucket["rep" if orb.repelling else "non"].append(orb)
-    periods = sorted(set(meta) | set(grouped))
-    for n in periods:
-        bucket = grouped.get(n, {"rep": [], "non": []})
+        if repelling:
+            rows[n].append(row)
+        else:
+            side[n].append(_orbit(n, complex(row[0], row[1]), row[2], row[3]))
+    db = OrbitDatabase(map_fingerprint=fingerprint, hyperbolicity=header.get("hyperbolicity"))
+    for n in sorted(meta.keys() | rows.keys() | side.keys()):
+        cols = np.array(rows.get(n, ()), dtype=float).reshape(-1, 4)
+        z = np.empty(len(cols), dtype=complex)
+        z.real, z.imag = cols[:, 0], cols[:, 1]
         info = meta.get(n, {})
         db.entries[n] = PeriodEntry(
-            period=n,
-            orbits=tuple(bucket["rep"]),
-            nonrepelling=tuple(bucket["non"]),
-            complete=bool(info.get("complete", False)),
+            period=n, z=z, log_abs=cols[:, 2], theta=cols[:, 3],
+            nonrepelling=tuple(side.get(n, ())), complete=bool(info.get("complete", False)),
             method=info.get("method"),
         )
+    for n, ent in db.entries.items():
+        if map_spec is None or not ent.complete:
+            continue
+        rep, nonrep, expected = census_counts(map_spec, db, n)
+        if rep + nonrep != expected:
+            raise IncompleteCensusError(
+                f"{path}: stored census fails at n = {n}: {rep} repelling + {nonrep} "
+                f"non-repelling != {expected}"
+            )
     return db

@@ -30,7 +30,6 @@ from .errors import (
     AlphaOutOfRangeError,
     BracketError,
     DegenerateError,
-    IncompleteCensusError,
     NonConvergenceError,
     OverflowGuard,
 )
@@ -44,17 +43,12 @@ def level_terms(db: OrbitDatabase, n: int):
     cached = db._term_cache.get(n)
     if cached is not None:
         return cached
-    rs, ths, ws = [], [], []
-    for m in divisors(n):
-        ent = db.entries.get(m)
-        if ent is None or not ent.complete:
-            raise IncompleteCensusError(f"period {m} not enumerated; cannot form level {n}")
-        k = n // m
-        for orb in ent.orbits:
-            rs.append(k * orb.log_abs_multiplier)
-            ths.append((k * orb.holonomy_angle) % (2.0 * np.pi))
-            ws.append(float(m))
-    out = (np.asarray(rs, float), np.asarray(ths, float), np.asarray(ws, float))
+    ents = [db.level(m) for m in divisors(n)]
+    out = (
+        np.concatenate([(n // e.period) * e.log_abs for e in ents]),
+        np.concatenate([((n // e.period) * e.theta) % (2.0 * np.pi) for e in ents]),
+        np.concatenate([np.full(e.z.size, float(e.period)) for e in ents]),
+    )
     db._term_cache[n] = out
     return out
 

@@ -349,6 +349,25 @@ def test_verify_db_version_mismatch_exit_4(capsys, tmp_path, basilica_db):
     assert json.loads(err)["error"] == "VersionMismatchError"
 
 
+def test_cache_failing_census_identity_exits_4(capsys, tmp_path, basilica_file):
+    # period 9 stays marked complete after its records are deleted: the
+    # census identity, checked on every load, refuses the cache
+    cache = tmp_path / "cache"
+    argv = ("--map", basilica_file, "--cache-dir", str(cache))
+    assert run(capsys, "enumerate", *argv, "--n-max", "9")[0] == 0
+    (path,) = cache.glob("*.jsonl")
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(line for line in lines if json.loads(line).get("n") != 9) + "\n")
+    code, out, err = run(capsys, "pressure", *argv, "--n", "9", "--t-values", "0")
+    assert (code, out) == (4, "")
+    record = json.loads(err)
+    assert record["error"] == "IncompleteCensusError"
+    assert "n = 9" in record["message"]
+    code, _, err = run(capsys, "verify", "--db", str(path), "--map", basilica_file)
+    assert code == 4
+    assert json.loads(err)["error"] == "IncompleteCensusError"
+
+
 def test_verify_rejects_unknown_criteria(capsys):
     code, _, err = run(capsys, "verify", "--criteria", "99")
     assert code == 2

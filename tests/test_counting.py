@@ -33,7 +33,7 @@ def test_count_empty_window(basilica_db, maxent_alpha):
 def test_count_interval_endpoints_included(basilica_db, maxent_alpha):
     us = sorted(
         o.log_abs_multiplier - 8 * maxent_alpha
-        for o in basilica_db.primitive_orbits(8)
+        for o in basilica_db.level(8).orbits
     )
     closed = counting.count_orbits(
         basilica_db, CountQuery(n=8, alpha=maxent_alpha, interval=(us[0], us[-1]))
@@ -55,7 +55,7 @@ def test_count_matches_direct_filter(basilica_db, maxent_alpha):
     q = CountQuery(n=8, alpha=maxent_alpha, interval=(-0.8, 0.6),
                    arc_center=1.2, arc_width=0.4)
     manual = 0
-    for orb in basilica_db.primitive_orbits(8):
+    for orb in basilica_db.level(8).orbits:
         u = orb.log_abs_multiplier - 8 * maxent_alpha
         frac = math.remainder((orb.holonomy_angle - 1.2) / (2 * math.pi), 1.0)
         if -0.8 <= u <= 0.6 and abs(frac) <= 0.2:
@@ -66,7 +66,7 @@ def test_count_matches_direct_filter(basilica_db, maxent_alpha):
 
 def test_count_full_window_identity(basilica_db, maxent_alpha):
     q = CountQuery(n=9, alpha=maxent_alpha, interval=(-50.0, 50.0), arc_width=1.0)
-    assert counting.count_orbits(basilica_db, q) == len(basilica_db.primitive_orbits(9))
+    assert counting.count_orbits(basilica_db, q) == basilica_db.level(9).z.size
 
 
 @settings(max_examples=40, deadline=None)
@@ -232,8 +232,8 @@ def test_smoothed_count_sandwich(basilica_db, maxent_alpha):
 
 def test_smoothed_count_trivial_weight(basilica_db, maxent_alpha):
     sc = counting.smoothed_count(basilica_db, 9, maxent_alpha)
-    assert sc.value == pytest.approx(len(basilica_db.primitive_orbits(9)))
-    assert sc.sample_size == len(basilica_db.primitive_orbits(9))
+    assert sc.value == pytest.approx(basilica_db.level(9).z.size)
+    assert sc.sample_size == basilica_db.level(9).z.size
     assert sc.gap < 0.05 * sc.value
 
 
@@ -242,7 +242,7 @@ def test_smoothed_count_trivial_weight(basilica_db, maxent_alpha):
 def test_weyl_k0_normalization(basilica_db):
     rep = counting.weyl_sums(basilica_db, 8, (0, 1))
     assert rep.magnitudes[0] == pytest.approx(1.0, abs=1e-15)
-    assert rep.sample_size == len(basilica_db.primitive_orbits(8))
+    assert rep.sample_size == basilica_db.level(8).z.size
 
 
 def test_weyl_circle_degenerate(square_db):
@@ -293,7 +293,7 @@ def test_li_table_from_map_counts_past_census(basilica, basilica_db14):
     census = sum(
         1
         for m in range(1, 15)
-        for o in basilica_db14.primitive_orbits(m)
+        for o in basilica_db14.level(m).orbits
         if o.log_abs_multiplier < math.log(20.0)
     )
     assert rep.rows[1].count == census

@@ -105,7 +105,7 @@ def test_basilica_census_certifies_period_18(basilica):
     db = orbits.OrbitDatabase.for_map(basilica)
     orbits.enumerate_primitive(basilica, 18, db)
     assert db.max_complete_period() == 18
-    assert len(db.primitive_orbits(18)) == (2**18 - 2**9 - 2**6 + 2**3) // 18 == 14532
+    assert db.level(18).z.size == (2**18 - 2**9 - 2**6 + 2**3) // 18 == 14532
 
 
 def test_backward_requires_hyperbolicity_evidence():
@@ -194,15 +194,15 @@ def test_self_conjugate_cycles_named_above_the_axis(ctx, key):
 def test_primitive_counts_square(square_db):
     # repelling primitive cycles of the doubling map: (1/n) sum_{m|n} mu(n/m) 2^m,
     # minus the superattracting fixed point at level 1
-    assert len(square_db.primitive_orbits(1)) == 1
-    assert len(square_db.primitive_orbits(3)) == 2
-    assert len(square_db.primitive_orbits(4)) == 3
-    assert len(square_db.primitive_orbits(6)) == 9
+    assert square_db.level(1).z.size == 1
+    assert square_db.level(3).z.size == 2
+    assert square_db.level(4).z.size == 3
+    assert square_db.level(6).z.size == 9
 
 
 def test_primitive_count_basilica_n8(basilica_db):
     # (2^8 - 2^4) / 8; the only non-repelling primitive cycle has period 2
-    assert len(basilica_db.primitive_orbits(8)) == 30
+    assert basilica_db.level(8).z.size == 30
 
 
 def test_census_identity_all_levels(ctx, square_db, basilica_db):
@@ -232,7 +232,7 @@ def test_incomplete_census_raises(basilica):
     db = orbits.OrbitDatabase.for_map(basilica)
     assert db.max_complete_period() == 0
     with pytest.raises(IncompleteCensusError):
-        db.primitive_orbits(3)
+        db.level(3)
 
 
 def test_max_complete_period(basilica_db):
@@ -241,22 +241,52 @@ def test_max_complete_period(basilica_db):
     assert ent.complete and ent.method in ("roots", "backward", "both")
 
 
-def test_save_load_roundtrip(tmp_path, basilica, basilica_db):
-    path = tmp_path / "census.jsonl"
-    orbits.save_db(basilica_db, path)
-    loaded = orbits.load_db(path, basilica)
-    assert loaded.map_fingerprint == basilica_db.map_fingerprint
-    assert sorted(loaded.entries) == sorted(basilica_db.entries)
-    for n, ent in basilica_db.entries.items():
-        got = loaded.entries[n]
-        assert got.complete == ent.complete
-        assert len(got.orbits) == len(ent.orbits)
-        assert len(got.nonrepelling) == len(ent.nonrepelling)
-    pairs = zip(
-        sorted(o.log_abs_multiplier for o in basilica_db.primitive_orbits(8)),
-        sorted(o.log_abs_multiplier for o in loaded.primitive_orbits(8)),
+def _signed_zero_census():
+    """A hand-made census whose records carry signed zeros and a
+    superattracting sidecar cycle (log|multiplier| -inf, holonomy 0.0)."""
+    entry = orbits.PeriodEntry(
+        period=1,
+        z=np.array([complex(-0.0, -0.0), complex(0.0, -0.0), complex(0.5, 0.0)]),
+        log_abs=np.array([0.25, 0.5, 0.75]),
+        theta=np.array([-0.0, 0.0, 1.5]),
+        nonrepelling=(orbits.PeriodicOrbit(1, complex(-0.0, 0.0), -math.inf, 0.0, True, False),),
+        complete=True,
+        method="backward",
     )
-    assert all(a == pytest.approx(b, abs=1e-15) for a, b in pairs)
+    return orbits.OrbitDatabase(map_fingerprint="signed-zeros", entries={1: entry})
+
+
+def test_save_load_roundtrip(tmp_path, basilica, basilica_db):
+    # a reload holds every record bit for bit: saving it again writes the
+    # same bytes, and every field is equal, down to the sign of a zero
+    for db, spec in ((basilica_db, basilica), (_signed_zero_census(), None)):
+        path, again = tmp_path / "census.jsonl", tmp_path / "again.jsonl"
+        orbits.save_db(db, path)
+        loaded = orbits.load_db(path, spec)
+        orbits.save_db(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert (loaded.map_fingerprint, loaded.hyperbolicity) == (db.map_fingerprint, db.hyperbolicity)
+        assert sorted(loaded.entries) == sorted(db.entries)
+        for n, ent in db.entries.items():
+            got = loaded.entries[n]
+            assert (got.period, got.complete, got.method) == (ent.period, ent.complete, ent.method)
+            for col in ("z", "log_abs", "theta"):
+                assert getattr(got, col).dtype == getattr(ent, col).dtype
+                assert getattr(got, col).tobytes() == getattr(ent, col).tobytes(), (n, col)
+            assert got.orbits == ent.orbits and got.nonrepelling == ent.nonrepelling
+            assert repr(got.orbits + got.nonrepelling) == repr(ent.orbits + ent.nonrepelling)
+        # the superattracting sidecar cycle is among the records compared
+        side = [o for ent in db.entries.values() for o in ent.nonrepelling]
+        assert any(o.log_abs_multiplier == -math.inf and o.holonomy_angle == 0.0 for o in side)
+
+
+def test_period_entry_columns_are_read_only(basilica_db):
+    ent = basilica_db.level(8)
+    with pytest.raises(ValueError):
+        ent.log_abs[0] = 0.0
+    # the records view is built once from the columns and kept
+    assert ent.orbits is ent.orbits
+    assert [o.representative for o in ent.orbits] == ent.z.tolist()
 
 
 def test_load_rejects_foreign_map(tmp_path, square, basilica_db):
@@ -293,14 +323,40 @@ def _no_fingerprint(lines):
     return [json.dumps(header)] + lines[1:]
 
 
+# the middle line a damage lands on, counted with the two blank lines that
+# _damage_middle puts after the header: the error must name this number
+MIDDLE_LINE = 381
+
+
+def _damage_middle(edit):
+    def corrupt(lines):
+        lines = lines[:1] + ["", "   "] + lines[1:]
+        assert '"theta"' in lines[MIDDLE_LINE - 1]  # an orbit record, not a period summary
+        lines[MIDDLE_LINE - 1] = edit(lines[MIDDLE_LINE - 1])
+        return lines
+
+    return corrupt
+
+
+def _without_theta(line):
+    rec = json.loads(line)
+    del rec["theta"]
+    return json.dumps(rec)
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         (_future_version, "cache version 100"),
         (_truncated_last_line, "corrupted line"),
         (_no_fingerprint, "no map fingerprint"),
+        (_damage_middle(lambda line: f"{line}, {line}"), rf"corrupted line {MIDDLE_LINE} \("),
+        (_damage_middle(_without_theta), rf"corrupted line {MIDDLE_LINE} \(KeyError"),
+        (_damage_middle(lambda line: json.dumps(list(json.loads(line).values()))),
+         rf"corrupted line {MIDDLE_LINE} \("),
     ],
-    ids=["future-version", "truncated-line", "no-fingerprint"],
+    ids=["future-version", "truncated-line", "no-fingerprint", "two-objects", "no-theta",
+         "bare-array"],
 )
 def test_load_rejects_corrupt_cache(tmp_path, basilica, basilica_db, corrupt, message):
     path = tmp_path / "census.jsonl"
@@ -348,7 +404,7 @@ def test_walk_matches_census_per_period(basilica, basilica_walk, basilica_db14, 
         for m in range(1, 15):
             census = sorted(
                 o.log_abs_multiplier
-                for o in basilica_db14.primitive_orbits(m)
+                for o in basilica_db14.level(m).orbits
                 if o.log_abs_multiplier < log_t
             )
             assert per.get(m, 0) == len(census), (n, m)
@@ -362,7 +418,7 @@ def test_walk_matches_census_per_period(basilica, basilica_walk, basilica_db14, 
     # (least points can differ where two points of a cycle tie in roundoff)
     for m in range(1, 15):
         ring = [np.array([
-            o.representative for o in basilica_db14.primitive_orbits(m)
+            o.representative for o in basilica_db14.level(m).orbits
             if o.log_abs_multiplier < basilica_walk.log_bound
         ])]
         for _ in range(m - 1):

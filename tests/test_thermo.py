@@ -24,7 +24,7 @@ def brute_zn(db, n, s, k, alpha):
     total = 0j
     for m in divisors(n):
         reps = n // m
-        for orb in db.primitive_orbits(m):
+        for orb in db.level(m).orbits:
             r = reps * orb.log_abs_multiplier
             th = reps * orb.holonomy_angle
             total += m * cmath.exp(s * (r - n * alpha) + 1j * k * th)
