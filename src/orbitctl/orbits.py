@@ -557,19 +557,21 @@ def _pull_back(map_spec: RationalMapSpec, levels, parents, k: int, idx: np.ndarr
     return q
 
 
-def _newton_cycles(map_spec: RationalMapSpec, starts: np.ndarray, k: int):
-    """Newton on f^k(z) = z from each start.
+def _newton_cycles(map_spec: RationalMapSpec, starts: np.ndarray, k: int, search: bool = False):
+    """Newton on f^k(z) = z from each start; search as in newton_polish.
 
     Returns (z, multiplier, ok): ok marks the limits that close up
     (_off_cycle), have least period k, and repel.
     """
-    z = newton_polish(map_spec, starts, k)
+    z = newton_polish(map_spec, starts, k, search=search)
     off, mult = _off_cycle(map_spec, z, k)
     ok = ~off & (np.abs(mult) > 1.0)
     closed = np.nonzero(ok)[0]
-    ring = _forward_orbit(map_spec, z[closed], k)
-    for m in divisors(k)[:-1]:
-        ok[closed] &= np.abs(ring[m] - z[closed]) > PAIR_TOL * (1.0 + np.abs(z[closed]))
+    w = start = z[closed]
+    for m in range(1, max(divisors(k)[:-1], default=0) + 1):
+        w = map_values(map_spec, w)
+        if k % m == 0:
+            ok[closed] &= np.abs(w - start) > PAIR_TOL * (1.0 + np.abs(start))
     return z, mult, ok
 
 
@@ -590,9 +592,8 @@ def _name_cycles(map_spec: RationalMapSpec, z: np.ndarray, k: int):
     Returns (cycle, reps): reps holds each distinct cycle's least point
     (_precedes) and cycle[i] the index in reps of the cycle through z[i].
     """
-    pts = _dedup(z)
     # the least point of each forward orbit; of two that tie, the first
-    least = w = pts
+    least = w = z
     for _ in range(k - 1):
         w = map_values(map_spec, w)
         least = np.where(_precedes(w, least), w, least)
@@ -610,28 +611,22 @@ def _name_cycles(map_spec: RationalMapSpec, z: np.ndarray, k: int):
     best = _least_first(np.append(reps, np.nan)[near.reshape(k, reps.size)])[0]
     heads, slot = np.unique(best, return_inverse=True)
     _, name = tree.query(np.column_stack([least.real, least.imag]), k=1)
-    _, at = cKDTree(np.column_stack([pts.real, pts.imag])).query(
-        np.column_stack([z.real, z.imag]), k=1
-    )
-    return slot[name[at]], heads
+    return slot[name], heads
 
 
-def _level_cycles(map_spec: RationalMapSpec, levels, parents, k: int):
-    """Primitive repelling period-k cycles reached from the depth-k nodes.
-
-    Newton starts at each node, and again from the pulled-back node where
-    that fails.  Returns (hit, reps, multipliers): one entry of reps and
-    multipliers per cycle found, and hit[i] the index of the cycle that
-    node i led to, or -1.
+def _level_cycles(map_spec: RationalMapSpec, levels, parents, k: int, log_bound: float = math.inf):
+    """Primitive repelling period-k cycles with log|multiplier| below
+    log_bound, from the depth-k nodes: Newton searches from each node and
+    polishes from the pulled-back node where that fails.  Returns (hit,
+    reps, multipliers): one entry of reps and multipliers per cycle found,
+    and hit[i] the index of the cycle that node i led to, or -1.
     """
-    z, mult, ok = _newton_cycles(map_spec, levels[k], k)
+    z, mult, ok = _newton_cycles(map_spec, levels[k], k, search=True)
     lost = np.nonzero(~ok)[0]
-    if lost.size:
-        retry = _pull_back(map_spec, levels, parents, k, lost)
-        z[lost], mult[lost], ok[lost] = _newton_cycles(map_spec, retry, k)
+    retry = _pull_back(map_spec, levels, parents, k, lost)
+    z[lost], mult[lost], ok[lost] = _newton_cycles(map_spec, retry, k)
+    ok[ok] = np.log(np.abs(mult[ok])) < log_bound
     hit = np.full(z.size, -1, dtype=np.int64)
-    if not ok.any():
-        return hit, np.empty(0, dtype=complex), np.empty(0, dtype=complex)
     hit[ok], reps = _name_cycles(map_spec, z[ok], k)
     out = np.zeros(reps.size, dtype=complex)
     out[hit[ok]] = mult[ok]
@@ -710,12 +705,12 @@ def walk_multiplier_bounded(map_spec: RationalMapSpec, t: float, slack: float) -
     """Every primitive repelling cycle with |multiplier| < t, by tree search.
 
     A node survives while its accumulated log|(f^k)'| stays within
-    log t + slack; Newton on f^k(z) = z runs from every surviving node (and
-    from the node pulled back along its path where that fails), and the
-    limits are kept when they close up with least period k, repel, and
-    fall below t.  Completeness rests on the slack covering both the dips
-    of partial multiplier sums and the node-to-cycle distortion, which is
-    what census_slack measures and certify_walk checks.
+    log t + slack; Newton on f^k(z) = z searches from every surviving node
+    (and polishes from the node pulled back along its path where that
+    fails), and only limits that close up with least period k, repel, and
+    fall below t are named.  Completeness rests on the slack covering both
+    the dips of partial multiplier sums and the node-to-cycle distortion,
+    which is what census_slack measures and certify_walk checks.
     """
     if not t > 1.0:
         raise MathDomainError(f"threshold must exceed 1, got {t:.6g}")
@@ -726,10 +721,8 @@ def walk_multiplier_bounded(map_spec: RationalMapSpec, t: float, slack: float) -
     nodes = 0
     for k, levels, parents, _ in _tree_levels(map_spec, log_t + slack):
         nodes += levels[k].size
-        _, reps, mult = _level_cycles(map_spec, levels, parents, k)
-        log_abs = np.log(np.abs(mult))
-        below = log_abs < log_t
-        parts.append((np.full(int(below.sum()), k), reps[below], log_abs[below]))
+        _, reps, mult = _level_cycles(map_spec, levels, parents, k, log_t)
+        parts.append((np.full(reps.size, k), reps, np.log(np.abs(mult))))
     periods, reps, log_abs = (np.concatenate(col) for col in zip(*parts))
     return MultiplierWalk(
         log_bound=log_t, slack=slack, periods=periods, representatives=reps,

@@ -175,6 +175,35 @@ def test_unclosed_ring_counts_unpolished_points(basilica, monkeypatch):
         list(orbits._tree_cycles(basilica, [3]))
 
 
+def test_name_cycles_maps_duplicates_and_rotations_to_their_cycle(basilica, basilica_db):
+    # every point of a few census 7-cycles, with a third of them repeated
+    # exactly, in shuffled order: one name per cycle, each point to its own
+    least = basilica_db.level(7).z[::4]
+    points = orbits._forward_orbit(basilica, least, 7).ravel()
+    origin = np.tile(np.arange(least.size), 7)
+    points, origin = np.append(points, points[::3]), np.append(origin, origin[::3])
+    order = np.random.default_rng(5).permutation(points.size)
+    cycle, reps = orbits._name_cycles(basilica, points[order], 7)
+    assert reps.size == least.size
+    assert np.abs(reps[cycle] - least[origin[order]]).max() < 1e-14
+
+
+def test_level_cycles_names_only_cycles_below_the_bound(basilica):
+    for k, levels, parents, _ in orbits._tree_levels(basilica, math.inf):
+        if k == 9:
+            break
+    hit, reps, mult = orbits._level_cycles(basilica, levels, parents, 9)
+    log_abs = np.log(np.abs(mult))
+    # halfway between the middle two of the 56 cycles, 0.056 from either
+    bound = float(np.median(log_abs))
+    low_hit, low_reps, low_mult = orbits._level_cycles(basilica, levels, parents, 9, bound)
+    below = (hit >= 0) & (log_abs[hit] < bound)
+    assert np.array_equal(low_hit >= 0, below)
+    assert low_reps.size == np.count_nonzero(log_abs < bound) == 28
+    assert np.abs(low_reps[low_hit[below]] - reps[hit[below]]).max() < 1e-14
+    assert np.array_equal(low_mult[low_hit[below]], mult[hit[below]])
+
+
 @pytest.mark.parametrize("key", ["square", "square_plus"])
 def test_self_conjugate_cycles_named_above_the_axis(ctx, key):
     # a real map's self-conjugate cycle has two least points, conjugate to
@@ -411,7 +440,7 @@ def test_walk_matches_census_per_period(basilica, basilica_walk, basilica_db14, 
             walked = np.sort(basilica_walk.log_abs[
                 (basilica_walk.periods == m) & (basilica_walk.log_abs < log_t)
             ])
-            assert np.allclose(walked, census, atol=1e-9)
+            assert np.allclose(walked, census, rtol=1e-12, atol=0.0)
         # orbits shadowing the alpha fixed point reach far past the census
         assert basilica_walk.max_period(t) > 14
     # below the top threshold every walked cycle is a distinct census cycle
