@@ -9,7 +9,6 @@ from .errors import (
 )
 from .maps import (
     RationalMapSpec,
-    cycle_multiplier,
     hyperbolicity_probe,
     load_map,
 )
@@ -17,7 +16,6 @@ from .orbits import (
     OrbitDatabase,
     PeriodicOrbit,
     enumerate_primitive,
-    fixed_points,
     load_db,
     save_db,
 )
@@ -44,11 +42,9 @@ __version__ = "0.1.0"
 __all__ = [
     "RationalMapSpec",
     "load_map",
-    "cycle_multiplier",
     "hyperbolicity_probe",
     "OrbitDatabase",
     "PeriodicOrbit",
-    "fixed_points",
     "enumerate_primitive",
     "save_db",
     "load_db",

@@ -341,8 +341,3 @@ CRITERIA = (
     criterion_9,
     criterion_10,
 )
-
-
-def run_all(ctx: AcceptanceContext | None = None) -> list[CriterionResult]:
-    ctx = ctx or AcceptanceContext()
-    return [fn(ctx) for fn in CRITERIA]

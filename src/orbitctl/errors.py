@@ -39,14 +39,6 @@ class PoleError(MathDomainError):
     """Evaluation too close to a pole of the map."""
 
 
-class NotPeriodicError(MathDomainError):
-    """cycle_multiplier called on a point that does not close up."""
-
-
-class SuperattractingError(MathDomainError):
-    """Multiplier vanishes along the cycle; log|multiplier| undefined."""
-
-
 # orbit enumeration ------------------------------------------------------
 
 class DegreeOverflowError(MathDomainError):

@@ -2,10 +2,8 @@
 
 A map f = P/Q is stored as two ascending complex coefficient lists.  The
 quantities everything downstream consumes are the distortion r(z) = log|f'(z)|
-and the rotation theta(z) = arg f'(z), summed along cycles into the
-multiplier's log-modulus and holonomy angle.  Angles returned to callers live
-in [0, 2*pi); per-step summands use the principal value in (-pi, pi], and
-only values mod 2*pi are contractual.
+and the rotation theta(z) = arg f'(z), which the census sums along cycles
+into the multiplier's log-modulus and holonomy angle.
 """
 
 from __future__ import annotations
@@ -18,12 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    MathDomainError,
-    NotPeriodicError,
-    PoleError,
-    SuperattractingError,
-)
+from .errors import MathDomainError, PoleError
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,14 +53,6 @@ def _derivative_coeffs(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
     if len(coeffs) == 1:
         return (0j,)
     return tuple(k * coeffs[k] for k in range(1, len(coeffs)))
-
-
-def _wrap_half_open(theta: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
-    t = math.fmod(theta, TWO_PI)
-    if t < 0.0:
-        t += TWO_PI
-    return 0.0 if t == TWO_PI else t
 
 
 @dataclass(frozen=True)
@@ -189,39 +174,6 @@ def map_values(map_spec: RationalMapSpec, z: np.ndarray) -> np.ndarray:
 def derivative_values(map_spec: RationalMapSpec, z: np.ndarray) -> np.ndarray:
     """Vectorized f'(z); poles become nan rather than raising."""
     return _map_and_derivative(map_spec, np.asarray(z, dtype=complex))[1]
-
-
-def cycle_multiplier(map_spec: RationalMapSpec, z: complex, n: int) -> tuple[float, float]:
-    """(log|multiplier|, holonomy angle in [0, 2*pi)) of a period-n point.
-
-    Raises NotPeriodicError when f^n(z) does not return to z within
-    1e-6 (1 + |z|), and SuperattractingError when the cycle runs through a
-    critical point.  The log data is cross-checked against the direct
-    chain-rule product of f' along the orbit.
-    """
-    w = complex(z)
-    r_total = 0.0
-    t_total = 0.0
-    prod = 1.0 + 0j
-    for j in range(n):
-        fp = derivative(map_spec, w)
-        mag = abs(fp)
-        if mag < DERIV_FLOOR:
-            raise SuperattractingError(
-                f"orbit index {j}: |f'| = {mag:.3e}; multiplier vanishes"
-            )
-        r_total += math.log(mag)
-        t_total += math.atan2(fp.imag, fp.real)
-        prod *= fp
-        w = evaluate(map_spec, w)
-    if abs(w - z) > 1e-6 * (1.0 + abs(z)):
-        raise NotPeriodicError(f"|f^{n}(z) - z| = {abs(w - z):.3e} at z = {z}")
-    recon = math.exp(r_total) * complex(math.cos(t_total), math.sin(t_total))
-    if abs(recon - prod) > 1e-9 * abs(prod):
-        raise MathDomainError(
-            f"multiplier reconstruction drifted: |delta| = {abs(recon - prod):.3e}"
-        )
-    return r_total, _wrap_half_open(t_total)
 
 
 # ---- hyperbolicity probe -------------------------------------------------

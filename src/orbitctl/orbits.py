@@ -57,9 +57,10 @@ from .maps import (
     hyperbolicity_probe,
     map_values,
 )
-from .rootfind import aberth_fixed_points, fn_shift, newton_polish, residuals
+from .rootfind import aberth_fixed_points, fn_shift, newton_polish
 
 PAIR_TOL = 1e-9
+STEP_TOL = 1e-12  # Newton step on f^n over 1 + |z| below which a point is on its cycle
 ROOTS_CAP = 4096
 DB_VERSION = 1
 
@@ -236,30 +237,7 @@ def _require_hyperbolic(verdict: str | None):
         )
 
 
-# ---- fixed point drivers --------------------------------------------------
-
-def fixed_points(
-    map_spec: RationalMapSpec,
-    n: int,
-    method: str = "auto",
-    override_hyperbolicity: bool = False,
-) -> np.ndarray:
-    """Fixed points of f^n, lexicographically sorted.
-
-    method='backward' (and 'auto', its alias) returns the repelling points
-    only, found on the preimage tree of any rational map; 'roots' returns
-    everything (non-repelling included) and is capped at d^n <= ROOTS_CAP.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if method == "roots":
-        return _roots_route(map_spec, n)
-    if method not in ("auto", "backward"):
-        raise ValueError(f"unknown method '{method}'")
-    if not override_hyperbolicity:
-        _require_hyperbolic(hyperbolicity_probe(map_spec).verdict)
-    return _backward_route(map_spec, n)
-
+# ---- roots route ------------------------------------------------------------
 
 def _roots_route(map_spec: RationalMapSpec, n: int) -> np.ndarray:
     """Every fixed point of f^n that Aberth finds, with no repair: a point
@@ -269,16 +247,7 @@ def _roots_route(map_spec: RationalMapSpec, n: int) -> np.ndarray:
         raise DegreeOverflowError(f"d^n = {count} exceeds roots cap {ROOTS_CAP}")
     radius = _init_radius(map_spec)
     pts = aberth_fixed_points(map_spec, n, count, radius)
-    res = residuals(map_spec, pts, n)
-    pts = pts[res < 1e-9 * (1.0 + np.abs(pts))]
-    return _dedup(pts)
-
-
-def _backward_route(map_spec: RationalMapSpec, n: int) -> np.ndarray:
-    """Repelling fixed points of f^n: the points of every primitive
-    repelling m-cycle with m | n, from one pass over the preimage tree."""
-    pts = np.concatenate([ring.ravel() for _, ring in _tree_cycles(map_spec, divisors(n))])
-    return pts[np.lexsort((pts.imag, pts.real))]
+    return _dedup(pts[_newton_step(map_spec, pts, n)[0] < STEP_TOL])
 
 
 # ---- cycle records -------------------------------------------------------
@@ -561,11 +530,11 @@ def _newton_cycles(map_spec: RationalMapSpec, starts: np.ndarray, k: int, search
     """Newton on f^k(z) = z from each start; search as in newton_polish.
 
     Returns (z, multiplier, ok): ok marks the limits that close up
-    (_off_cycle), have least period k, and repel.
+    (_newton_step), have least period k, and repel.
     """
     z = newton_polish(map_spec, starts, k, search=search)
-    off, mult = _off_cycle(map_spec, z, k)
-    ok = ~off & (np.abs(mult) > 1.0)
+    step, mult = _newton_step(map_spec, z, k)
+    ok = (step < STEP_TOL) & (np.abs(mult) > 1.0)
     closed = np.nonzero(ok)[0]
     w = start = z[closed]
     for m in range(1, max(divisors(k)[:-1], default=0) + 1):
@@ -575,15 +544,16 @@ def _newton_cycles(map_spec: RationalMapSpec, starts: np.ndarray, k: int, search
     return z, mult, ok
 
 
-def _off_cycle(map_spec: RationalMapSpec, z: np.ndarray, k: int):
-    """(off, (f^k)'(z)): off marks the points whose Newton step |F/F'| on
-    f^k(z) = z exceeds 1e-12 (1 + |z|) or whose orbit leaves the range.
-    The raw residual |F| is that step times |(f^k)' - 1|, so on cycles with a
-    large multiplier it would reject points on the cycle to roundoff."""
+def _newton_step(map_spec: RationalMapSpec, z: np.ndarray, k: int):
+    """(step, (f^k)'(z)): step is the Newton step |F/F'| on f^k(z) = z over
+    1 + |z|, and inf where the orbit leaves the range.  A point lies on its
+    cycle when its step is below STEP_TOL.  The raw residual |F| is the step
+    times |(f^k)' - 1|, so on cycles with a large multiplier it would reject
+    points on the cycle to roundoff."""
     f_val, df_val, bad = fn_shift(map_spec, z, k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        off = bad | ~(np.abs(f_val / df_val) < 1e-12 * (1.0 + np.abs(z)))
-    return off, df_val + 1.0
+        step = np.abs(f_val / df_val) / (1.0 + np.abs(z))
+    return np.where(bad | np.isnan(step), np.inf, step), df_val + 1.0
 
 
 def _name_cycles(map_spec: RationalMapSpec, z: np.ndarray, k: int):
@@ -633,39 +603,48 @@ def _level_cycles(map_spec: RationalMapSpec, levels, parents, k: int, log_bound:
     return hit, reps, out
 
 
+def _polished_ring(map_spec: RationalMapSpec, z: np.ndarray, k: int) -> np.ndarray:
+    """The k-cycles through the points z as a ring of shape (k, z.size):
+    row j holds f^j(z), every point polished on f^k.
+
+    Plain forward iteration multiplies roundoff by the partial multipliers,
+    which grow large along many cycles; polishing each point keeps the ring
+    on its cycle.  The polished image of each ring's last point must come
+    back to its first within the pairing tolerance, or OrbitMatchingError is
+    raised.
+    """
+    rows = []
+    for _ in range(k):
+        z = newton_polish(map_spec, z, k)
+        rows.append(z)
+        z = map_values(map_spec, z)
+    ring = np.array(rows)
+    miss = np.abs(newton_polish(map_spec, z, k) - ring[0])
+    worst = float(np.max(np.nan_to_num(miss, nan=np.inf), initial=0.0))
+    if worst > PAIR_TOL:
+        step, _ = _newton_step(map_spec, ring.ravel(), k)
+        raise OrbitMatchingError(
+            f"a period-{k} ring fails to close by {worst:.3e} (tol {PAIR_TOL:.1e});"
+            f" {np.count_nonzero(step >= STEP_TOL)} of {step.size} ring points still have a Newton"
+            " step above 1e-12 (1 + |z|)"
+        )
+    return ring
+
+
 def _tree_cycles(map_spec: RationalMapSpec, depths):
     """Primitive repelling cycles of the given periods, from one pass over
     the unpruned preimage tree.
 
     Yields (k, ring) for each depth k in depths, in increasing order: ring
-    has shape (k, cycles), and column c holds one k-cycle in cycle order
-    from its least point, every point polished on f^k.  Plain forward
-    iteration multiplies roundoff by the partial multipliers, which grow
-    large along many cycles; polishing each point keeps the ring on its
-    cycle.  The polished image of each ring's last point must come back to
-    its first within the pairing tolerance, or OrbitMatchingError is raised.
+    is the _polished_ring of the level's cycles, of shape (k, cycles), with
+    each column in cycle order from its least point.
     """
     wanted = set(depths)
     top = max(wanted)
     for k, levels, parents, _ in _tree_levels(map_spec, math.inf):
         if k in wanted:
             _, z, _ = _level_cycles(map_spec, levels, parents, k)
-            rows = []
-            for _ in range(k):
-                z = newton_polish(map_spec, z, k)
-                rows.append(z)
-                z = map_values(map_spec, z)
-            ring = np.array(rows)
-            miss = np.abs(newton_polish(map_spec, z, k) - ring[0])
-            worst = float(np.max(np.nan_to_num(miss, nan=np.inf), initial=0.0))
-            if worst > PAIR_TOL:
-                off, _ = _off_cycle(map_spec, ring.ravel(), k)
-                raise OrbitMatchingError(
-                    f"a period-{k} ring fails to close by {worst:.3e} (tol {PAIR_TOL:.1e});"
-                    f" {np.count_nonzero(off)} of {off.size} ring points still have a Newton"
-                    " step above 1e-12 (1 + |z|)"
-                )
-            yield k, _least_first(ring)
+            yield k, _least_first(_polished_ring(map_spec, z, k))
         if k == top:
             return
 
@@ -871,7 +850,8 @@ def save_db(db: OrbitDatabase, path):
 def load_db(path, map_spec: RationalMapSpec | None = None) -> OrbitDatabase:
     """Read a census written by save_db into its columns.  A line that is not
     one JSON object raises VersionMismatchError naming it; given the map, a
-    complete period that fails the census identity raises IncompleteCensusError."""
+    complete period that fails the census identity or stores one point twice
+    raises IncompleteCensusError."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     raw = [(i, text) for i, line in enumerate(lines, start=1) if (text := line.strip())]
@@ -937,4 +917,76 @@ def load_db(path, map_spec: RationalMapSpec | None = None) -> OrbitDatabase:
                 f"{path}: stored census fails at n = {n}: {rep} repelling + {nonrep} "
                 f"non-repelling != {expected}"
             )
+        z = np.sort(ent.z)  # an exact repeat sorts next to its copy
+        repeats = np.count_nonzero(z[1:] == z[:-1])
+        if repeats:
+            raise IncompleteCensusError(
+                f"{path}: stored census fails at n = {n}: {repeats} repelling records "
+                "repeat a stored point"
+            )
     return db
+
+
+# ---- audit -----------------------------------------------------------------
+
+def verify_census(map_spec: RationalMapSpec, db: OrbitDatabase) -> dict[str, float]:
+    """Audit every stored period of a census of map_spec by the census's own
+    tests, run over the period's records, the non-repelling sidecar included.
+
+    In order, for each period n:
+
+    * Newton step: every stored point has a Newton step on f^n below
+      STEP_TOL (1 + |z|) (_newton_step);
+    * least point: every stored point is row 0 of its own least-first
+      _polished_ring;
+    * multiplier: the stored log|multiplier| is the ring's (_ring_orbits)
+      to 1e-12 relative, and the holonomy angle to 1e-12 after wrapping;
+    * distinct cycles: no ring point lies within STEP_TOL (1 + |z|) of
+      another, as it would for a cycle stored twice or one whose least
+      period is a proper divisor of n.
+
+    The first failure raises IncompleteCensusError naming the period and the
+    test.  Returns the worst figures over all periods, each on its test's
+    scale: the largest Newton step, relative log|multiplier| drift and
+    holonomy drift, and the least distance between two ring points over
+    1 + |z|.
+    """
+    worst, closest = np.zeros(3), math.inf
+
+    def check(n, test, failed, what):
+        if failed.any():
+            raise IncompleteCensusError(
+                f"period {n} fails the {test} test: {np.count_nonzero(failed)} of "
+                f"{failed.size} {what}"
+            )
+
+    for n, ent in sorted(db.entries.items()):
+        side = ent.nonrepelling
+        z = np.append(ent.z, [o.representative for o in side])
+        log_abs = np.append(ent.log_abs, [o.log_abs_multiplier for o in side])
+        theta = np.append(ent.theta, [o.holonomy_angle for o in side])
+        if z.size == 0:
+            continue
+        step, _ = _newton_step(map_spec, z, n)
+        check(n, "Newton step", step >= STEP_TOL,
+              f"stored points have a Newton step on f^{n} of at least {STEP_TOL:.0e} (1 + |z|)")
+        ring = _polished_ring(map_spec, z, n)
+        check(n, "least point", _least_first(ring)[0] != ring[0],
+              "stored points are not the least point of their cycle")
+        _, ring_abs, ring_theta = _ring_orbits(map_spec, ring)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d_abs = np.where(ring_abs == log_abs, 0.0, np.abs(ring_abs - log_abs) / np.abs(log_abs))
+        d_theta = np.abs((ring_theta - theta + math.pi) % TWO_PI - math.pi)
+        check(n, "multiplier", ~(d_abs <= 1e-12) | ~(d_theta <= 1e-12),
+              "stored multipliers differ from their ring's by more than 1e-12")
+        pts = ring.ravel()
+        xy = np.column_stack([pts.real, pts.imag])
+        gap = cKDTree(xy).query(xy, k=[2])[0][:, 0] / (1.0 + np.abs(pts))
+        check(n, "distinct cycles", gap < STEP_TOL,
+              f"ring points lie within {STEP_TOL:.0e} (1 + |z|) of another ring point")
+        worst = np.maximum(worst, [step.max(), d_abs.max(), d_theta.max()])
+        closest = min(closest, float(gap.min()))
+    return {
+        "worst_newton_step": float(worst[0]), "worst_log_abs_drift": float(worst[1]),
+        "worst_theta_drift": float(worst[2]), "closest_ring_points": closest,
+    }

@@ -51,7 +51,7 @@ def newton_polish(map_spec: RationalMapSpec, z: np.ndarray, n: int, *, search: b
     A point stops once its step is at most 1e-14 (1 + |z|) or its orbit
     leaves the numeric range, and after NEWTON_ITERS steps.  A search also
     stops it once a step exceeds half the one before, which no step from an
-    approximate zero (Smale) does.  Callers judge convergence (orbits._off_cycle).
+    approximate zero (Smale) does.  Callers judge convergence (orbits._newton_step).
     """
     z = np.array(z, dtype=complex).ravel()
     active = np.arange(z.size)
@@ -71,13 +71,6 @@ def newton_polish(map_spec: RationalMapSpec, z: np.ndarray, n: int, *, search: b
             last[active] = size
         active = active[~done]
     return z
-
-
-def residuals(map_spec: RationalMapSpec, z: np.ndarray, n: int) -> np.ndarray:
-    f_val, _, bad = fn_shift(map_spec, z, n)
-    out = np.abs(f_val)
-    out[bad] = np.inf
-    return out
 
 
 def _repulsion(z_all: np.ndarray, rows: np.ndarray, chunk: int = 32) -> np.ndarray:

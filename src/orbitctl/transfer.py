@@ -109,26 +109,6 @@ def build_mesh(map_spec: RationalMapSpec, depth: int) -> CollocationMesh:
     )
 
 
-def apply_operator(
-    mesh: CollocationMesh,
-    phi: np.ndarray,
-    s: complex,
-    k: int = 0,
-    alpha: float = 0.0,
-    edge_weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """One application of L with weight e^{s (r - alpha) + i k theta}.
-
-    edge_weights, when given, multiply the kernel entrywise (used by the
-    normalized operator).
-    """
-    w = np.exp(s * (mesh.pre_r - alpha) + 1j * k * mesh.pre_theta)
-    if edge_weights is not None:
-        w = w * edge_weights
-    vals = np.asarray(phi)[mesh.pre_index]
-    return np.sum(w * vals, axis=1)
-
-
 def leading_eigendata(
     mesh: CollocationMesh,
     xi: float,

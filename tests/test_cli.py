@@ -333,8 +333,10 @@ def test_verify_db_roundtrip(capsys, tmp_path, basilica, basilica_file, basilica
     code, out, _ = run(capsys, "verify", "--db", str(path), "--map", basilica_file)
     assert code == 0
     checks = json.loads(out)
-    assert checks["ok"] is True
-    assert checks["worst_residual"] < 1e-8
+    assert checks["ok"] is True and checks["entries"] == len(basilica_db.entries)
+    assert checks["worst_newton_step"] < orbits.STEP_TOL
+    assert checks["worst_log_abs_drift"] < 1e-12 and checks["worst_theta_drift"] < 1e-12
+    assert checks["closest_ring_points"] > orbits.STEP_TOL
 
 
 def test_verify_db_version_mismatch_exit_4(capsys, tmp_path, basilica_db):
@@ -366,6 +368,65 @@ def test_cache_failing_census_identity_exits_4(capsys, tmp_path, basilica_file):
     code, _, err = run(capsys, "verify", "--db", str(path), "--map", basilica_file)
     assert code == 4
     assert json.loads(err)["error"] == "IncompleteCensusError"
+
+
+def _copy_of_another(rec, other):
+    return other
+
+
+def _moved_to_image(rec, other):
+    z = complex(*rec["z"])
+    return {**rec, "z": [(z * z - 1.0).real, (z * z - 1.0).imag]}  # the basilica's f(z)
+
+
+def _moved_off_cycle(rec, other):
+    return {**rec, "z": [rec["z"][0] + 1e-9, rec["z"][1]]}
+
+
+def _multiplier_nudged(rec, other):
+    return {**rec, "log_abs": rec["log_abs"] * (1.0 + 1e-9)}
+
+
+def _corrupt_period_10(path, corrupt):
+    """Replace the first period-10 record by corrupt(it, the last one)."""
+    lines = path.read_text().splitlines()
+    rows = [i for i, line in enumerate(lines) if json.loads(line).get("n") == 10]
+    first, last = json.loads(lines[rows[0]]), json.loads(lines[rows[-1]])
+    lines[rows[0]] = json.dumps(corrupt(first, last), sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_copy_of_another, "n = 10: 1 repelling records repeat a stored point"),
+    (_moved_off_cycle, "period 10 fails the Newton step test: 1 of 99"),
+    (_moved_to_image, "period 10 fails the least point test: 1 of 99"),
+    (_multiplier_nudged, "period 10 fails the multiplier test: 1 of 99"),
+], ids=["duplicated", "off-cycle", "rotated", "multiplier"])
+def test_verify_db_refuses_corrupted_census(capsys, tmp_path, basilica_file, basilica_db,
+                                            corrupt, message):
+    # each cache keeps the census identity, so only the audit can refuse it
+    path = tmp_path / "census.jsonl"
+    orbits.save_db(basilica_db, path)
+    _corrupt_period_10(path, corrupt)
+    assert orbits.load_db(path).max_complete_period() == basilica_db.max_complete_period()
+    code, out, err = run(capsys, "verify", "--db", str(path), "--map", basilica_file)
+    assert (code, out) == (4, "")
+    record = json.loads(err)
+    assert record["error"] == "IncompleteCensusError"
+    assert message in record["message"]
+
+
+def test_cache_storing_a_cycle_twice_exits_4(capsys, tmp_path, basilica_file):
+    # a period-10 cycle stored in place of another passes the census
+    # identity, which counts records; loading with the map refuses it
+    cache = tmp_path / "cache"
+    argv = ("--map", basilica_file, "--cache-dir", str(cache))
+    assert run(capsys, "enumerate", *argv, "--n-max", "10")[0] == 0
+    (path,) = cache.glob("*.jsonl")
+    _corrupt_period_10(path, _copy_of_another)
+    code, out, err = run(capsys, "pressure", *argv, "--n", "10", "--t-values", "1")
+    assert (code, out) == (4, "")
+    assert "n = 10" in json.loads(err)["message"]
 
 
 def test_verify_rejects_unknown_criteria(capsys):

@@ -1,4 +1,4 @@
-"""Pointwise map evaluation, multiplier data, and the hyperbolicity probe."""
+"""Pointwise map evaluation, cycle multipliers, and the hyperbolicity probe."""
 
 import cmath
 import math
@@ -6,12 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from orbitctl import maps
-from orbitctl.errors import (
-    NotPeriodicError,
-    PoleError,
-    SuperattractingError,
-)
+from orbitctl import maps, orbits
+from orbitctl.errors import PoleError
 
 LOG2 = math.log(2.0)
 OMEGA = cmath.exp(2j * cmath.pi / 3)
@@ -49,26 +45,37 @@ def test_vector_evaluation_matches_scalar(basilica):
             assert ders[i] == pytest.approx(maps.derivative(spec, complex(z)))
 
 
+# the census reads each cycle's multiplier off its ring (orbits._ring_orbits),
+# whose row j holds the j-th points of the cycles
+
 def test_cycle_multiplier_fixed_point(square):
-    log_abs, theta = maps.cycle_multiplier(square, 1.0, 1)
-    assert log_abs == pytest.approx(LOG2, abs=1e-12)
-    assert math.remainder(theta, 2 * math.pi) == pytest.approx(0.0, abs=1e-12)
+    z, log_abs, theta = orbits._ring_orbits(square, np.array([[1.0 + 0j]]))
+    assert z.tolist() == [1.0]
+    assert log_abs[0] == pytest.approx(LOG2, abs=1e-12)
+    assert math.remainder(theta[0], 2 * math.pi) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cycle_multiplier_two_cycle(square):
-    log_abs, theta = maps.cycle_multiplier(square, OMEGA, 2)
-    assert log_abs == pytest.approx(2 * LOG2, abs=1e-10)
-    assert math.remainder(theta, 2 * math.pi) == pytest.approx(0.0, abs=1e-10)
+    _, log_abs, theta = orbits._ring_orbits(square, np.array([[OMEGA], [OMEGA**2]]))
+    assert log_abs[0] == pytest.approx(2 * LOG2, abs=1e-10)
+    assert math.remainder(theta[0], 2 * math.pi) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_cycle_multiplier_rejects_nonperiodic(square):
-    with pytest.raises(NotPeriodicError):
-        maps.cycle_multiplier(square, 0.5, 1)
+    # the census takes a point as periodic by its Newton step on f^n(z) = z,
+    # which is infinite where the orbit escapes
+    step, mult = orbits._newton_step(square, np.array([0.5, 1e160, 1.0, OMEGA]), 2)
+    assert step[0] > 0.1 and step[1] == np.inf and step[2:].max() < orbits.STEP_TOL
+    assert np.abs(mult[2:] - 4.0).max() < 1e-12
 
 
 def test_cycle_multiplier_rejects_superattracting(square):
-    with pytest.raises(SuperattractingError):
-        maps.cycle_multiplier(square, 0.0, 1)
+    # a cycle through a critical point gets log|multiplier| -inf and angle
+    # 0.0, and the tree's cycle finder does not keep it as repelling
+    _, log_abs, theta = orbits._ring_orbits(square, np.array([[0j]]))
+    assert (log_abs[0], theta[0]) == (-math.inf, 0.0)
+    _, _, ok = orbits._newton_cycles(square, np.array([0j, 1.0 + 0j]), 1)
+    assert ok.tolist() == [False, True]
 
 
 def test_critical_points_square(square):

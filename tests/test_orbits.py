@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from orbitctl import maps, orbits, rootfind
+from orbitctl import cli, maps, orbits, rootfind
 from orbitctl.errors import (
     DegreeOverflowError,
     FingerprintMismatchError,
@@ -26,19 +26,23 @@ def as_set(points, ndigits=9):
     return {(round(p.real, ndigits), round(p.imag, ndigits)) for p in points}
 
 
+def ring_points(spec, n):
+    """The repelling fixed points of f^n: every point of the census rings of
+    the periods dividing n, from one tree pass."""
+    return np.concatenate([ring.ravel() for _, ring in orbits._tree_cycles(spec, orbits.divisors(n))])
+
+
 def test_fixed_point_set_square_n2(square):
     # the roots route returns the full algebraic set, superattracting 0 included
-    pts = orbits.fixed_points(square, 2, method="roots")
+    pts = orbits._roots_route(square, 2)
     expected = [0.0, 1.0, cmath.exp(2j * cmath.pi / 3), cmath.exp(-2j * cmath.pi / 3)]
     assert as_set(pts) == as_set(expected)
-    # auto walks backward, which drops the non-repelling point
-    auto = orbits.fixed_points(square, 2)
-    assert as_set(auto) <= as_set(expected)
-    assert (round(1.0, 9), round(0.0, 9)) in as_set(auto)
+    # the tree's rings hold the repelling points only
+    assert as_set(ring_points(square, 2)) == as_set(expected[1:])
 
 
 def test_fixed_point_set_basilica_n2(basilica):
-    pts = orbits.fixed_points(basilica, 2, method="roots")
+    pts = orbits._roots_route(basilica, 2)
     expected = [0.0, -1.0, PHI, 1.0 - PHI]
     assert as_set(pts) == as_set(expected)
 
@@ -47,9 +51,9 @@ def test_methods_agree_point_for_point():
     # z^2 + 0.1, and z^3 + 0.1 z, whose inverse branches have no closed form
     for numerator, n in (((0.1, 0.0, 1.0), 6), ((0.0, 0.1, 0.0, 1.0), 5)):
         spec = maps.RationalMapSpec(numerator=numerator, denominator=(1.0,))
-        via_roots = orbits.fixed_points(spec, n, method="roots")
+        via_roots = orbits._roots_route(spec, n)
         assert len(via_roots) == spec.degree**n
-        via_backward = orbits.fixed_points(spec, n, method="backward")
+        via_backward = ring_points(spec, n)
         # backward walks the repelling set only; every point must sit on a root
         assert 0 < len(via_backward) <= len(via_roots)
         tree = cKDTree(np.c_[via_roots.real, via_roots.imag])
@@ -66,7 +70,7 @@ def test_methods_agree_point_for_point():
 def test_backward_closes_deep_levels(basilica):
     # forward images of cycles that pass near the critical point drift by
     # far more than the pairing tolerance unless every point is polished
-    pts = orbits.fixed_points(basilica, 16, method="backward")
+    pts = ring_points(basilica, 16)
     assert pts.size == 2**16 - 2  # all but the superattracting 2-cycle {0, -1}
     images = maps.map_values(basilica, pts)
     dist, nxt = cKDTree(np.c_[pts.real, pts.imag]).query(np.c_[images.real, images.imag])
@@ -98,7 +102,7 @@ def test_backward_census_walks_the_tree_once(basilica, monkeypatch):
     assert calls == {"_tree_levels": 3, "_level_cycles": 16}
 
 
-def test_basilica_census_certifies_period_18(basilica):
+def test_basilica_census_certifies_period_18(basilica, basilica_file, tmp_path, capsys):
     # a raw residual |F| below 1e-9 (1 + |z|) rejects every point of four
     # primitive 18-cycles with large multipliers; their Newton steps |F/F'|
     # are below 1e-12 (1 + |z|)
@@ -106,17 +110,45 @@ def test_basilica_census_certifies_period_18(basilica):
     orbits.enumerate_primitive(basilica, 18, db)
     assert db.max_complete_period() == 18
     assert db.level(18).z.size == (2**18 - 2**9 - 2**6 + 2**3) // 18 == 14532
+    # the stored census passes the census's own audit; a raw residual and an
+    # unpolished forward multiplier both drift past 1e-8 at this depth
+    path = tmp_path / "census.jsonl"
+    orbits.save_db(db, path)
+    assert cli.main(["verify", "--db", str(path), "--map", basilica_file]) == 0
+    checks = json.loads(capsys.readouterr().out)
+    assert checks["worst_newton_step"] < orbits.STEP_TOL
+    assert checks["closest_ring_points"] > 1e3 * orbits.STEP_TOL
+
+
+def test_audit_refuses_repeated_ring_points(basilica, basilica_db):
+    # no two ring points of a level may coincide: a cycle stored twice
+    # repeats its ring, and so does a fixed point stored as a 2-cycle, whose
+    # Newton step, least point and multiplier all pass
+    ent = basilica_db.level(10)
+    twice = orbits.PeriodEntry(
+        period=10, z=np.append(ent.z, ent.z[5]), log_abs=np.append(ent.log_abs, ent.log_abs[5]),
+        theta=np.append(ent.theta, ent.theta[5]), complete=True,
+    )
+    fixed = orbits.PeriodEntry(
+        period=2, z=np.array([PHI + 0j]), log_abs=np.array([2 * math.log(2 * PHI)]),
+        theta=np.zeros(1), complete=True,
+    )
+    for entry, message in ((twice, "period 10 fails the distinct cycles test: 20 of 1000"),
+                           (fixed, "period 2 fails the distinct cycles test: 2 of 2")):
+        db = orbits.OrbitDatabase(basilica.fingerprint, entries={entry.period: entry})
+        with pytest.raises(IncompleteCensusError, match=message):
+            orbits.verify_census(basilica, db)
 
 
 def test_backward_requires_hyperbolicity_evidence():
     close = maps.RationalMapSpec(numerator=(0.26, 0.0, 1.0), denominator=(1.0,))
     with pytest.raises(MathDomainError, match="inconclusive"):
-        orbits.fixed_points(close, 3, method="backward")
+        orbits.enumerate_primitive(close, 3, orbits.OrbitDatabase.for_map(close))
 
 
 def test_roots_method_degree_cap(square):
     with pytest.raises(DegreeOverflowError):
-        orbits.fixed_points(square, 20, method="roots")
+        orbits._roots_route(square, 20)
 
 
 def test_classify_square_level2(square_db):

@@ -77,38 +77,6 @@ def test_preimages_reject_critical_value(square):
         transfer._preimages(square, 0.0)
 
 
-def test_apply_operator_closed_forms(circle_mesh):
-    ones = np.ones(circle_mesh.size)
-    flat = transfer.apply_operator(circle_mesh, ones, s=0.0)
-    assert np.max(np.abs(flat - 2.0)) < 1e-12
-    tilted = transfer.apply_operator(circle_mesh, ones, s=1.0)
-    assert np.max(np.abs(tilted - 4.0)) < 1e-12
-    # the alpha shift exactly cancels the tilt on the circle
-    centered = transfer.apply_operator(circle_mesh, ones, s=1.0, alpha=LOG2)
-    assert np.max(np.abs(centered - 2.0)) < 1e-12
-    # both preimages carry opposite half-angles, so k = 1 cancels
-    twisted = transfer.apply_operator(circle_mesh, ones, s=0.0, k=1)
-    assert np.max(np.abs(twisted)) < 1e-12
-
-
-def test_apply_operator_linear_and_positive(circle_mesh):
-    rng = np.random.default_rng(3)
-    phi = rng.standard_normal(circle_mesh.size) + 1j * rng.standard_normal(circle_mesh.size)
-    psi = rng.standard_normal(circle_mesh.size)
-    a, b = 0.7 - 0.2j, 1.3
-    lhs = transfer.apply_operator(circle_mesh, a * phi + b * psi, s=0.4, k=2)
-    rhs = a * transfer.apply_operator(circle_mesh, phi, s=0.4, k=2) + b * transfer.apply_operator(
-        circle_mesh, psi, s=0.4, k=2
-    )
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-    pos = transfer.apply_operator(circle_mesh, np.abs(psi), s=-0.3)
-    assert pos.real.min() >= 0.0
-    # twisted output is dominated by the untwisted action on |phi|
-    dom = transfer.apply_operator(circle_mesh, np.abs(phi), s=0.4)
-    tw = transfer.apply_operator(circle_mesh, phi, s=0.4, k=3)
-    assert np.all(np.abs(tw) <= dom.real + 1e-12)
-
-
 def test_leading_eigendata_pure_powers(circle_mesh, cubic):
     for t in (-0.5, 0.0, 0.7):
         log_lam, vec = transfer.leading_eigendata(circle_mesh, t)
