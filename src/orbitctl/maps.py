@@ -29,7 +29,7 @@ DERIV_FLOOR = 1e-12
 RATE_FLOOR = 0.05
 
 # critical-orbit steps the hyperbolicity probe takes, and the periods whose
-# repelling cycles it samples for the expansion envelope
+# repelling cycles it samples for the least log-multiplier rate
 PROBE_ITERS = 400
 PROBE_PERIODS = (1, 2, 3, 4, 5, 6)
 
@@ -222,8 +222,6 @@ class HyperbolicityReport:
     """Numerical evidence for orbit-wise expansion; never a proof."""
 
     verdict: str  # hyperbolic-evidence | inconclusive | fails
-    expansion_base: float | None  # fitted gamma-hat
-    expansion_const: float | None  # fitted c-hat
     min_log_multiplier_rate: float | None
     critical_orbit_summary: tuple[CriticalOrbitStatus, ...]
 
@@ -278,13 +276,13 @@ def _critical_orbit_status(
 
 
 def hyperbolicity_probe(map_spec: RationalMapSpec) -> HyperbolicityReport:
-    """Iterate critical orbits and fit a lower expansion envelope.
+    """Iterate critical orbits and sample the repelling cycles of
+    PROBE_PERIODS for the least log-multiplier rate
+    log|multiplier(tau)| / period(tau).
 
-    The fitted pair (c-hat, gamma-hat) satisfies
-    log|multiplier(tau)| >= log c-hat + period(tau) * log gamma-hat for every
-    sampled repelling orbit.  The verdict is hyperbolic-evidence only when
-    every critical orbit resolves to an attracting cycle or escapes and the
-    minimal log-multiplier rate clears RATE_FLOOR.
+    The verdict is hyperbolic-evidence only when every critical orbit
+    resolves to an attracting cycle or escapes and that rate clears
+    RATE_FLOOR.
     """
     from . import orbits  # local import; orbits builds on this module
 
@@ -295,20 +293,13 @@ def hyperbolicity_probe(map_spec: RationalMapSpec) -> HyperbolicityReport:
     )
 
     # repelling cycles of the sampled periods, from one preimage-tree pass
-    samples: list[tuple[int, float]] = []
+    rates: list[float] = []
     try:
-        for p, ring in orbits._tree_cycles(map_spec, PROBE_PERIODS):
-            samples += [(p, r) for r in orbits._ring_orbits(map_spec, ring)[1].tolist()]
+        for p, ring, _ in orbits._tree_cycles(map_spec, PROBE_PERIODS):
+            rates += [la / p for la in orbits._ring_orbits(map_spec, ring)[1].tolist()]
     except MathDomainError:
         pass
-
-    if samples:
-        min_rate = min(la / per for per, la in samples)
-        gamma_hat = math.exp(min_rate)
-        log_c = min(la - per * min_rate for per, la in samples)
-        c_hat = math.exp(log_c)
-    else:
-        min_rate = gamma_hat = c_hat = None
+    min_rate = min(rates, default=None)
 
     statuses = {s.status for s in summary}
     if {"neutral-cycle", "repelling-cycle"} & statuses:
@@ -319,4 +310,4 @@ def hyperbolicity_probe(map_spec: RationalMapSpec) -> HyperbolicityReport:
         verdict = "inconclusive"
     else:
         verdict = "hyperbolic-evidence"
-    return HyperbolicityReport(verdict, gamma_hat, c_hat, min_rate, summary)
+    return HyperbolicityReport(verdict, min_rate, summary)

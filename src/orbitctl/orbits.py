@@ -62,7 +62,7 @@ from .rootfind import aberth_fixed_points, fn_shift, newton_polish
 PAIR_TOL = 1e-9
 STEP_TOL = 1e-12  # Newton step on f^n over 1 + |z| below which a point is on its cycle
 ROOTS_CAP = 4096
-DB_VERSION = 1
+DB_VERSION = 2
 
 # census methods: auto (an alias of backward), backward, and both, which
 # certifies each backward level against the roots route
@@ -96,7 +96,9 @@ def _orbit(n: int, z: complex, log_abs: float, theta: float) -> PeriodicOrbit:
 class PeriodEntry:
     """One period of the census.  Its primitive repelling cycles are held as
     read-only columns, one slot per cycle in order of least point: z (the
-    least point), log_abs (log|multiplier|) and theta (the holonomy angle)."""
+    least point), log_abs (log|multiplier|) and theta (the holonomy angle).
+    distortion is the level's node-to-cycle gap that census_slack reads
+    (_tree_cycles), -inf until the tree pass has measured it."""
 
     period: int
     z: np.ndarray = field(default_factory=lambda: np.empty(0, complex))
@@ -105,6 +107,7 @@ class PeriodEntry:
     nonrepelling: tuple[PeriodicOrbit, ...] = ()  # primitive non-repelling
     complete: bool = False
     method: str | None = None
+    distortion: float = -math.inf
 
     def __post_init__(self):
         for col in (self.z, self.log_abs, self.theta):
@@ -358,13 +361,13 @@ def enumerate_primitive(
         # both checks a level against the rings of all its divisors
         depths = sorted({m for k in missing for m in divisors(k)}) if method == "both" else missing
         rings = {}
-        for k, ring in _tree_cycles(map_spec, depths):
+        for k, ring, distortion in _tree_cycles(map_spec, depths):
             if method == "both":
                 rings[k] = ring
                 if k not in missing:
                     continue
                 _check_roots(map_spec, db, k, rings)
-            _complete_entry(map_spec, db, k, *_ring_orbits(map_spec, ring), label)
+            _complete_entry(map_spec, db, k, *_ring_orbits(map_spec, ring), label, distortion)
     return db.level(n)
 
 
@@ -394,9 +397,10 @@ def _check_roots(map_spec: RationalMapSpec, db: OrbitDatabase, n: int, rings: di
         )
 
 
-def _complete_entry(map_spec: RationalMapSpec, db: OrbitDatabase, n: int, z, log_abs, theta, method):
-    """Record period n's repelling cycles, the columns of _ring_orbits, once
-    the census identity holds."""
+def _complete_entry(map_spec: RationalMapSpec, db: OrbitDatabase, n: int, z, log_abs, theta, method,
+                    distortion):
+    """Record period n's repelling cycles, the columns of _ring_orbits, and
+    the level's distortion once the census identity holds."""
     rep_total = n * z.size + sum(m * db.level(m).z.size for m in divisors(n)[:-1])
     nonrep_total = db.nonrepelling_level_count(n)
     expected_total = expected_fixed_count(map_spec, n)
@@ -410,7 +414,7 @@ def _complete_entry(map_spec: RationalMapSpec, db: OrbitDatabase, n: int, z, log
     db._set_entry(
         PeriodEntry(
             period=n, z=z[order], log_abs=log_abs[order], theta=theta[order],
-            nonrepelling=stub.nonrepelling, complete=True, method=method,
+            nonrepelling=stub.nonrepelling, complete=True, method=method, distortion=distortion,
         )
     )
 
@@ -635,16 +639,23 @@ def _tree_cycles(map_spec: RationalMapSpec, depths):
     """Primitive repelling cycles of the given periods, from one pass over
     the unpruned preimage tree.
 
-    Yields (k, ring) for each depth k in depths, in increasing order: ring
-    is the _polished_ring of the level's cycles, of shape (k, cycles), with
-    each column in cycle order from its least point.
+    Yields (k, ring, distortion) for each depth k in depths, in increasing
+    order: ring is the _polished_ring of the level's cycles, of shape
+    (k, cycles), with each column in cycle order from its least point.
+    distortion, which the census keeps for census_slack, is the level's
+    node-to-cycle gap: for each cycle the smallest
+    log|(f^k)'(node)| - log|multiplier| over the nodes whose Newton limit
+    lies on it, the largest of these over the cycles, and -inf for a level
+    without one.
     """
     wanted = set(depths)
     top = max(wanted)
-    for k, levels, parents, _ in _tree_levels(map_spec, math.inf):
+    for k, levels, parents, acc in _tree_levels(map_spec, math.inf):
         if k in wanted:
-            _, z, _ = _level_cycles(map_spec, levels, parents, k)
-            yield k, _least_first(_polished_ring(map_spec, z, k))
+            hit, z, mult = _level_cycles(map_spec, levels, parents, k)
+            gap, sel = np.full(mult.size, np.inf), hit >= 0
+            np.minimum.at(gap, hit[sel], acc[sel] - np.log(np.abs(mult[hit[sel]])))
+            yield k, _least_first(_polished_ring(map_spec, z, k)), float(gap.max(initial=-np.inf))
         if k == top:
             return
 
@@ -689,7 +700,7 @@ def walk_multiplier_bounded(map_spec: RationalMapSpec, t: float, slack: float) -
     fails), and only limits that close up with least period k, repel, and
     fall below t are named.  Completeness rests on the slack covering both
     the dips of partial multiplier sums and the node-to-cycle distortion,
-    which is what census_slack measures and certify_walk checks.
+    which census_slack reads off the census and certify_walk checks.
     """
     if not t > 1.0:
         raise MathDomainError(f"threshold must exceed 1, got {t:.6g}")
@@ -720,15 +731,16 @@ class WalkSlack:
 
 
 def census_slack(map_spec: RationalMapSpec, db: OrbitDatabase) -> WalkSlack:
-    """Walk slack measured on the census levels 1..M.
+    """Walk slack read off the census levels 1..M; no tree is walked.
 
     dip: the lowest partial sum of log|f'| over a proper stretch of any
-    census cycle, started anywhere on it.  A node's ancestor carries the
-    node's accumulated expansion minus a partial sum along the node's
-    forward orbit, which shadows the cycle, so ancestors exceed the node by
-    at most about -dip.  distortion: over the unpruned depth-k tree, for
-    every census cycle the smallest log|(f^k)'(node)| - log|multiplier|
-    among the nodes whose Newton limit lies on it, maximized over cycles.
+    census cycle, started anywhere on it, from the stored columns.  A
+    node's ancestor carries the node's accumulated expansion minus a
+    partial sum along the node's forward orbit, which shadows the cycle, so
+    ancestors exceed the node by at most about -dip.  distortion: the
+    largest of the levels' stored distortions, each measured by the
+    census's own tree pass (_tree_cycles).  A level with repelling
+    cycles but no measured distortion raises IncompleteCensusError.
     The slack is max(0, -dip) + max(0, distortion).
     """
     if db.map_fingerprint != map_spec.fingerprint:
@@ -736,9 +748,6 @@ def census_slack(map_spec: RationalMapSpec, db: OrbitDatabase) -> WalkSlack:
             f"database fingerprint {db.map_fingerprint} does not match map "
             f"{map_spec.fingerprint}"
         )
-    cached = db._walk_cache.get("slack")
-    if cached is not None:
-        return cached
     n_max = db.max_complete_period()
     if n_max == 0:
         raise IncompleteCensusError("census is empty")
@@ -752,19 +761,14 @@ def census_slack(map_spec: RationalMapSpec, db: OrbitDatabase) -> WalkSlack:
         prefix = np.concatenate([np.zeros((1, reps.size)), np.cumsum(np.tile(r, (2, 1)), axis=0)])
         for length in range(1, m):
             dip = min(dip, float((prefix[length : length + m] - prefix[:m]).min()))
-    distortion = -math.inf
-    for k, levels, parents, acc in _tree_levels(map_spec, math.inf):
-        hit, _, mult = _level_cycles(map_spec, levels, parents, k)
-        if mult.size:
-            gap = np.full(mult.size, np.inf)
-            sel = hit >= 0
-            np.minimum.at(gap, hit[sel], acc[sel] - np.log(np.abs(mult[hit[sel]])))
-            distortion = max(distortion, float(gap.max()))
-        if k == n_max:
-            break
+    entries = [db.level(m) for m in range(1, n_max + 1)]
+    unmeasured = next((e for e in entries if e.z.size and e.distortion == -math.inf), None)
+    if unmeasured is not None:
+        raise IncompleteCensusError(f"period {unmeasured.period} holds {unmeasured.z.size} repelling "
+                                    "cycles but no measured distortion")
+    distortion = max(ent.distortion for ent in entries)
     value = max(0.0, -dip) + max(0.0, distortion)
-    db._walk_cache["slack"] = WalkSlack(value=value, dip=dip, distortion=distortion, n_used=n_max)
-    return db._walk_cache["slack"]
+    return WalkSlack(value=value, dip=dip, distortion=distortion, n_used=n_max)
 
 
 def certify_walk(walk: MultiplierWalk, db: OrbitDatabase):
@@ -787,15 +791,14 @@ def certify_walk(walk: MultiplierWalk, db: OrbitDatabase):
 
 
 def multiplier_bounded_orbits(map_spec: RationalMapSpec, db: OrbitDatabase, t: float) -> MultiplierWalk:
-    """Certified walk for threshold t with the slack measured on the census.
+    """Certified walk for threshold t, its slack read off the census.
 
-    The slack and the walk are kept with the census, like its level terms,
-    until an entry changes.
+    The walk is kept with the census, like its level terms, until an entry
+    changes.
     """
-    slack = census_slack(map_spec, db)
     walk = db._walk_cache.get(t)
     if walk is None:
-        walk = walk_multiplier_bounded(map_spec, t, slack.value)
+        walk = walk_multiplier_bounded(map_spec, t, census_slack(map_spec, db).value)
         certify_walk(walk, db)
         db._walk_cache[t] = walk
     return walk
@@ -832,12 +835,9 @@ def save_db(db: OrbitDatabase, path):
     ]
     for n in sorted(db.entries):
         ent = db.entries[n]
-        lines.append(
-            json.dumps(
-                {"period": n, "complete": ent.complete, "method": ent.method},
-                sort_keys=True,
-            )
-        )
+        summary = {"period": n, "complete": ent.complete, "method": ent.method,
+                   "distortion": None if ent.distortion == -math.inf else ent.distortion}
+        lines.append(json.dumps(summary, sort_keys=True))
         cols = zip(ent.z.tolist(), ent.log_abs.tolist(), ent.theta.tolist())
         side = ((o.representative, o.log_abs_multiplier, o.holonomy_angle) for o in ent.nonrepelling)
         lines += [_orbit_record(n, *row) for row in (*cols, *side)]
@@ -849,7 +849,9 @@ def save_db(db: OrbitDatabase, path):
 
 def load_db(path, map_spec: RationalMapSpec | None = None) -> OrbitDatabase:
     """Read a census written by save_db into its columns.  A line that is not
-    one JSON object raises VersionMismatchError naming it; given the map, a
+    one JSON object, or a period summary whose complete is not a boolean,
+    whose method is not a string or null, or whose distortion is not a
+    number or null, raises VersionMismatchError naming it; given the map, a
     complete period that fails the census identity or stores one point twice
     raises IncompleteCensusError."""
     with open(path) as fh:
@@ -881,6 +883,11 @@ def load_db(path, map_spec: RationalMapSpec | None = None) -> OrbitDatabase:
             if end < len(text) or not isinstance(rec, dict):
                 raise ValueError("the line is not one JSON object")
             if "period" in rec:
+                distortion = rec["distortion"]
+                if not (isinstance(rec["complete"], bool)
+                        and (rec["method"] is None or isinstance(rec["method"], str))
+                        and (distortion is None or type(distortion) in (int, float))):
+                    raise ValueError("a period summary field has the wrong type")
                 meta[int(rec["period"])] = rec
                 continue
             n, z, log_abs = int(rec["n"]), rec["z"], rec["log_abs"]
@@ -903,10 +910,11 @@ def load_db(path, map_spec: RationalMapSpec | None = None) -> OrbitDatabase:
         z = np.empty(len(cols), dtype=complex)
         z.real, z.imag = cols[:, 0], cols[:, 1]
         info = meta.get(n, {})
+        distortion = info.get("distortion")
         db.entries[n] = PeriodEntry(
             period=n, z=z, log_abs=cols[:, 2], theta=cols[:, 3],
-            nonrepelling=tuple(side.get(n, ())), complete=bool(info.get("complete", False)),
-            method=info.get("method"),
+            nonrepelling=tuple(side.get(n, ())), complete=info.get("complete", False),
+            method=info.get("method"), distortion=-math.inf if distortion is None else float(distortion),
         )
     for n, ent in db.entries.items():
         if map_spec is None or not ent.complete:

@@ -1,6 +1,7 @@
 """Fixed-point enumeration, cycle records, and census bookkeeping."""
 
 import cmath
+import dataclasses
 import json
 import math
 
@@ -29,7 +30,7 @@ def as_set(points, ndigits=9):
 def ring_points(spec, n):
     """The repelling fixed points of f^n: every point of the census rings of
     the periods dividing n, from one tree pass."""
-    return np.concatenate([ring.ravel() for _, ring in orbits._tree_cycles(spec, orbits.divisors(n))])
+    return np.concatenate([ring.ravel() for _, ring, _ in orbits._tree_cycles(spec, orbits.divisors(n))])
 
 
 def test_fixed_point_set_square_n2(square):
@@ -86,7 +87,8 @@ def test_backward_closes_deep_levels(basilica):
 
 def test_backward_census_walks_the_tree_once(basilica, monkeypatch):
     # the census and the hyperbolicity probe each make one tree pass, and
-    # each pass runs the cycle finder once per requested depth
+    # each pass runs the cycle finder once per requested depth; a walk
+    # reads its slack off the census and makes the one pass of its own
     calls = {"_tree_levels": 0, "_level_cycles": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(orbits, name)):
@@ -100,6 +102,8 @@ def test_backward_census_walks_the_tree_once(basilica, monkeypatch):
     # completed periods are not searched again
     orbits.enumerate_primitive(basilica, 10, db)
     assert calls == {"_tree_levels": 3, "_level_cycles": 16}
+    orbits.multiplier_bounded_orbits(basilica, db, 2.0**8)
+    assert calls["_tree_levels"] == 4
 
 
 def test_basilica_census_certifies_period_18(basilica, basilica_file, tmp_path, capsys):
@@ -313,14 +317,17 @@ def _signed_zero_census():
         nonrepelling=(orbits.PeriodicOrbit(1, complex(-0.0, 0.0), -math.inf, 0.0, True, False),),
         complete=True,
         method="backward",
+        distortion=-0.0,
     )
     return orbits.OrbitDatabase(map_fingerprint="signed-zeros", entries={1: entry})
 
 
 def test_save_load_roundtrip(tmp_path, basilica, basilica_db):
     # a reload holds every record bit for bit: saving it again writes the
-    # same bytes, and every field is equal, down to the sign of a zero
-    for db, spec in ((basilica_db, basilica), (_signed_zero_census(), None)):
+    # same bytes, and every field of every entry is equal, down to the sign
+    # of a zero; a field save_db does not write comes back as its default
+    # and fails the comparison
+    for db, spec in ((_signed_zero_census(), None), (basilica_db, basilica)):
         path, again = tmp_path / "census.jsonl", tmp_path / "again.jsonl"
         orbits.save_db(db, path)
         loaded = orbits.load_db(path, spec)
@@ -330,15 +337,20 @@ def test_save_load_roundtrip(tmp_path, basilica, basilica_db):
         assert sorted(loaded.entries) == sorted(db.entries)
         for n, ent in db.entries.items():
             got = loaded.entries[n]
-            assert (got.period, got.complete, got.method) == (ent.period, ent.complete, ent.method)
-            for col in ("z", "log_abs", "theta"):
-                assert getattr(got, col).dtype == getattr(ent, col).dtype
-                assert getattr(got, col).tobytes() == getattr(ent, col).tobytes(), (n, col)
-            assert got.orbits == ent.orbits and got.nonrepelling == ent.nonrepelling
-            assert repr(got.orbits + got.nonrepelling) == repr(ent.orbits + ent.nonrepelling)
+            for f in dataclasses.fields(orbits.PeriodEntry):
+                want, have = getattr(ent, f.name), getattr(got, f.name)
+                if isinstance(want, np.ndarray):
+                    assert have.dtype == want.dtype, (n, f.name)
+                    assert have.tobytes() == want.tobytes(), (n, f.name)
+                else:
+                    assert have == want and repr(have) == repr(want), (n, f.name)
+            assert repr(got.orbits) == repr(ent.orbits)
         # the superattracting sidecar cycle is among the records compared
         side = [o for ent in db.entries.values() for o in ent.nonrepelling]
         assert any(o.log_abs_multiplier == -math.inf and o.holonomy_angle == 0.0 for o in side)
+    # a level without a repelling cycle has no distortion, written as null
+    assert basilica_db.level(2).distortion == -math.inf
+    assert '"distortion": null, "method": "backward", "period": 2' in path.read_text()
 
 
 def test_period_entry_columns_are_read_only(basilica_db):
@@ -368,10 +380,13 @@ def test_load_accepts_header_with_tolerances(tmp_path, basilica, basilica_db):
     assert orbits.load_db(path, basilica).max_complete_period() == basilica_db.max_complete_period()
 
 
-def _future_version(lines):
-    header = json.loads(lines[0])
-    header["version"] += 99
-    return [json.dumps(header)] + lines[1:]
+def _with_version(version):
+    def corrupt(lines):
+        header = json.loads(lines[0])
+        header["version"] = version
+        return [json.dumps(header)] + lines[1:]
+
+    return corrupt
 
 
 def _truncated_last_line(lines):
@@ -389,14 +404,34 @@ def _no_fingerprint(lines):
 MIDDLE_LINE = 381
 
 
-def _damage_middle(edit):
+# the line of period 11's summary, counted the same way
+SUMMARY_LINE = 240
+
+
+def _damage_line(lineno, kind, edit):
     def corrupt(lines):
         lines = lines[:1] + ["", "   "] + lines[1:]
-        assert '"theta"' in lines[MIDDLE_LINE - 1]  # an orbit record, not a period summary
-        lines[MIDDLE_LINE - 1] = edit(lines[MIDDLE_LINE - 1])
+        assert kind in lines[lineno - 1]  # the line is of the kind the case damages
+        lines[lineno - 1] = edit(lines[lineno - 1])
         return lines
 
     return corrupt
+
+
+def _damage_middle(edit):
+    return _damage_line(MIDDLE_LINE, '"theta"', edit)
+
+
+_MISSING = object()  # a summary field _damage_summary deletes
+
+
+def _damage_summary(**fields):
+    def edit(line):
+        rec = json.loads(line)
+        rec.update(fields)
+        return json.dumps({k: v for k, v in rec.items() if v is not _MISSING})
+
+    return _damage_line(SUMMARY_LINE, '"period": 11', edit)
 
 
 def _without_theta(line):
@@ -408,16 +443,26 @@ def _without_theta(line):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_future_version, "cache version 100"),
+        (_with_version(orbits.DB_VERSION + 99),
+         f"cache version {orbits.DB_VERSION + 99}, expected {orbits.DB_VERSION}"),
+        (_with_version(1), f"cache version 1, expected {orbits.DB_VERSION}"),
         (_truncated_last_line, "corrupted line"),
         (_no_fingerprint, "no map fingerprint"),
         (_damage_middle(lambda line: f"{line}, {line}"), rf"corrupted line {MIDDLE_LINE} \("),
         (_damage_middle(_without_theta), rf"corrupted line {MIDDLE_LINE} \(KeyError"),
         (_damage_middle(lambda line: json.dumps(list(json.loads(line).values()))),
          rf"corrupted line {MIDDLE_LINE} \("),
+        # bool("false") is true: a period summary's fields are type-checked
+        (_damage_summary(complete="false"), rf"corrupted line {SUMMARY_LINE} \(ValueError"),
+        (_damage_summary(complete=1), rf"corrupted line {SUMMARY_LINE} \(ValueError"),
+        (_damage_summary(method=3), rf"corrupted line {SUMMARY_LINE} \(ValueError"),
+        (_damage_summary(distortion="1.5"), rf"corrupted line {SUMMARY_LINE} \(ValueError"),
+        (_damage_summary(distortion=True), rf"corrupted line {SUMMARY_LINE} \(ValueError"),
+        (_damage_summary(distortion=_MISSING), rf"corrupted line {SUMMARY_LINE} \(KeyError"),
     ],
-    ids=["future-version", "truncated-line", "no-fingerprint", "two-objects", "no-theta",
-         "bare-array"],
+    ids=["future-version", "version-1", "truncated-line", "no-fingerprint", "two-objects",
+         "no-theta", "bare-array", "complete-string", "complete-int", "method-number",
+         "distortion-string", "distortion-bool", "no-distortion"],
 )
 def test_load_rejects_corrupt_cache(tmp_path, basilica, basilica_db, corrupt, message):
     path = tmp_path / "census.jsonl"
@@ -509,6 +554,41 @@ def test_walk_slack_comes_from_census(basilica, basilica_db14, basilica_walk):
     assert slack.dip == pytest.approx(-0.0626, abs=1e-3)
     assert slack.value == pytest.approx(-slack.dip + slack.distortion, rel=1e-12)
     assert basilica_walk.slack == slack.value
+
+
+def test_census_keeps_the_slack_it_measures(basilica, tmp_path, monkeypatch):
+    # the census's own tree pass measures each level's distortion: a census
+    # extended from 8 stores what one built from empty stores
+    fresh, extended = orbits.OrbitDatabase.for_map(basilica), orbits.OrbitDatabase.for_map(basilica)
+    orbits.enumerate_primitive(basilica, 14, fresh)
+    orbits.enumerate_primitive(basilica, 8, extended)
+    orbits.enumerate_primitive(basilica, 14, extended)
+    for n in range(1, 15):
+        assert repr(extended.level(n).distortion) == repr(fresh.level(n).distortion), n
+    assert max(fresh.level(n).distortion for n in range(1, 15)) == 1.3619072117284476
+    # a reloaded census gives its slack without walking the tree again
+    path = tmp_path / "census.jsonl"
+    orbits.save_db(fresh, path)
+    db = orbits.load_db(path, basilica)
+
+    def no_tree(*args):
+        raise AssertionError("census_slack walked the preimage tree")
+
+    monkeypatch.setattr(orbits, "_tree_levels", no_tree)
+    monkeypatch.setattr(orbits, "_level_cycles", no_tree)
+    slack = orbits.census_slack(basilica, db)
+    assert (slack.value, slack.distortion, slack.n_used) == (1.4244794347692458, 1.3619072117284476, 14)
+
+
+def test_census_slack_refuses_an_unmeasured_level(basilica, basilica_db):
+    # period 2 holds no repelling cycle, so its -inf is no gap in the slack;
+    # period 3 holds two, and a slack without their distortion is unfounded
+    entries = {n: basilica_db.level(n) for n in range(1, 4)}
+    assert entries[2].distortion == -math.inf and entries[2].z.size == 0
+    entries[3] = dataclasses.replace(entries[3], distortion=-math.inf)
+    db = orbits.OrbitDatabase(basilica.fingerprint, entries=entries)
+    with pytest.raises(IncompleteCensusError, match="period 3 holds 2 repelling cycles but no measured"):
+        orbits.census_slack(basilica, db)
 
 
 def test_walk_slack_widening_changes_no_count(basilica, basilica_walk):
