@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MathDomainError, PoleError
+from .errors import PoleError
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,7 +29,7 @@ DERIV_FLOOR = 1e-12
 RATE_FLOOR = 0.05
 
 # critical-orbit steps the hyperbolicity probe takes, and the periods whose
-# repelling cycles it samples for the least log-multiplier rate
+# repelling cycles give it the least log-multiplier rate
 PROBE_ITERS = 400
 PROBE_PERIODS = (1, 2, 3, 4, 5, 6)
 
@@ -275,30 +275,20 @@ def _critical_orbit_status(
     return CriticalOrbitStatus(z0, status, period=period, multiplier_abs=mag, cycle_point=w)
 
 
-def hyperbolicity_probe(map_spec: RationalMapSpec) -> HyperbolicityReport:
-    """Iterate critical orbits and sample the repelling cycles of
-    PROBE_PERIODS for the least log-multiplier rate
-    log|multiplier(tau)| / period(tau).
+def hyperbolicity_probe(map_spec: RationalMapSpec, rates: list[float]) -> HyperbolicityReport:
+    """Iterate critical orbits and take the least of rates, the
+    log-multiplier rates log|multiplier(tau)| / period(tau) of the repelling
+    cycles of PROBE_PERIODS, which the caller reads off its census levels.
 
     The verdict is hyperbolic-evidence only when every critical orbit
     resolves to an attracting cycle or escapes and that rate clears
     RATE_FLOOR.
     """
-    from . import orbits  # local import; orbits builds on this module
-
     esc = escape_radius(map_spec)
     summary = tuple(
         _critical_orbit_status(map_spec, z0, esc)
         for z0 in critical_points(map_spec)
     )
-
-    # repelling cycles of the sampled periods, from one preimage-tree pass
-    rates: list[float] = []
-    try:
-        for p, ring, _ in orbits._tree_cycles(map_spec, PROBE_PERIODS):
-            rates += [la / p for la in orbits._ring_orbits(map_spec, ring)[1].tolist()]
-    except MathDomainError:
-        pass
     min_rate = min(rates, default=None)
 
     statuses = {s.status for s in summary}

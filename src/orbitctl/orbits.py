@@ -30,6 +30,7 @@ period, and is certified by reproducing the census's per-period counts.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -50,6 +51,7 @@ from .errors import (
 )
 from .maps import (
     DERIV_FLOOR,
+    PROBE_PERIODS,
     TWO_PI,
     RationalMapSpec,
     _map_and_derivative,
@@ -131,9 +133,6 @@ class OrbitDatabase:
     @classmethod
     def for_map(cls, map_spec: RationalMapSpec) -> "OrbitDatabase":
         return cls(map_fingerprint=map_spec.fingerprint)
-
-    def entry(self, n: int) -> PeriodEntry | None:
-        return self.entries.get(n)
 
     def level(self, n: int) -> PeriodEntry:
         """Period n's entry, whose columns every census reader uses; raises
@@ -232,6 +231,14 @@ def _init_radius(map_spec: RationalMapSpec) -> float:
     return 1.05 * max(1.0, top) + 0.05
 
 
+def _require_map(map_spec: RationalMapSpec, db: OrbitDatabase):
+    if db.map_fingerprint != map_spec.fingerprint:
+        raise FingerprintMismatchError(
+            f"database fingerprint {db.map_fingerprint} does not match map "
+            f"{map_spec.fingerprint}"
+        )
+
+
 def _require_hyperbolic(verdict: str | None):
     if verdict != "hyperbolic-evidence":
         raise MathDomainError(
@@ -290,11 +297,10 @@ def _ring_orbits(map_spec: RationalMapSpec, ring: np.ndarray):
 
 # ---- critical cycle registry ----------------------------------------------
 
-def _register_critical_cycles(map_spec: RationalMapSpec, db: OrbitDatabase):
-    """Probe once per database: verdict plus the non-repelling sidecar."""
-    if db.hyperbolicity is not None:
-        return
-    report = hyperbolicity_probe(map_spec)
+def _register_critical_cycles(map_spec: RationalMapSpec, db: OrbitDatabase, rates: list[float]):
+    """The probe's verdict, on the rates of the census's first levels, plus
+    the non-repelling sidecar."""
+    report = hyperbolicity_probe(map_spec, rates)
     db.hyperbolicity = report.verdict
     for status in report.critical_orbit_summary:
         if status.status != "attracting-cycle" or status.period is None:
@@ -338,36 +344,45 @@ def enumerate_primitive(
     """Complete every missing period 1..n; return period n's entry.
 
     The missing periods are read off one pass over the preimage tree, one
-    record per emitted cycle.  method='both' also solves each missing level
-    by Aberth and certifies the tree's points against the roots before the
-    level is recorded (_check_roots).  A period entry is marked complete
-    only when the integer census identity holds; otherwise
-    IncompleteCensusError is raised, the periods below stay complete, and
-    nothing is recorded for the failing one.
+    record per emitted cycle.  A database without a hyperbolicity verdict
+    takes it from the same pass: the probe reads its rates off the first
+    PROBE_PERIODS levels, and its verdict gates the census before any level
+    is recorded.  method='both' also solves each missing level by Aberth and
+    certifies the tree's points against the roots before the level is
+    recorded (_check_roots).  A period entry is marked complete only when
+    the integer census identity holds; otherwise IncompleteCensusError is
+    raised, the periods below stay complete, and nothing is recorded for the
+    failing one.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
-    if db.map_fingerprint != map_spec.fingerprint:
-        raise FingerprintMismatchError(
-            f"database fingerprint {db.map_fingerprint} does not match map "
-            f"{map_spec.fingerprint}"
-        )
+    _require_map(map_spec, db)
     missing = [m for m in range(1, n + 1) if not (m in db.entries and db.entries[m].complete)]
     if missing:
-        _register_critical_cycles(map_spec, db)
-        if not override_hyperbolicity:
-            _require_hyperbolic(db.hyperbolicity)
         label = "backward" if method == "auto" else method
         # both checks a level against the rings of all its divisors
-        depths = sorted({m for k in missing for m in divisors(k)}) if method == "both" else missing
+        depths = {m for k in missing for m in divisors(k)} if method == "both" else set(missing)
+        if db.hyperbolicity is None:
+            depths |= set(PROBE_PERIODS)
+        levels = ((k, ring, distortion, _ring_orbits(map_spec, ring))
+                  for k, ring, distortion in _tree_cycles(map_spec, sorted(depths)))
+        if db.hyperbolicity is None:
+            # the pass's first levels are PROBE_PERIODS: held until the verdict
+            head = list(itertools.islice(levels, len(PROBE_PERIODS)))
+            rates = [la / k for k, _, _, (_, log_abs, _) in head for la in log_abs.tolist()]
+            _register_critical_cycles(map_spec, db, rates)
+            levels = itertools.chain(head, levels)
+        if not override_hyperbolicity:
+            _require_hyperbolic(db.hyperbolicity)
         rings = {}
-        for k, ring, distortion in _tree_cycles(map_spec, depths):
+        for k, ring, distortion, cols in levels:
             if method == "both":
                 rings[k] = ring
-                if k not in missing:
-                    continue
+            if k not in missing:
+                continue
+            if method == "both":
                 _check_roots(map_spec, db, k, rings)
-            _complete_entry(map_spec, db, k, *_ring_orbits(map_spec, ring), label, distortion)
+            _complete_entry(map_spec, db, k, *cols, label, distortion)
     return db.level(n)
 
 
@@ -743,11 +758,7 @@ def census_slack(map_spec: RationalMapSpec, db: OrbitDatabase) -> WalkSlack:
     cycles but no measured distortion raises IncompleteCensusError.
     The slack is max(0, -dip) + max(0, distortion).
     """
-    if db.map_fingerprint != map_spec.fingerprint:
-        raise FingerprintMismatchError(
-            f"database fingerprint {db.map_fingerprint} does not match map "
-            f"{map_spec.fingerprint}"
-        )
+    _require_map(map_spec, db)
     n_max = db.max_complete_period()
     if n_max == 0:
         raise IncompleteCensusError("census is empty")
@@ -796,6 +807,7 @@ def multiplier_bounded_orbits(map_spec: RationalMapSpec, db: OrbitDatabase, t: f
     The walk is kept with the census, like its level terms, until an entry
     changes.
     """
+    _require_map(map_spec, db)
     walk = db._walk_cache.get(t)
     if walk is None:
         walk = walk_multiplier_bounded(map_spec, t, census_slack(map_spec, db).value)

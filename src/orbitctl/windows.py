@@ -90,12 +90,6 @@ class SmoothedWindow:
         rad = self._support_radius()
         return self.center - rad, self.center + rad
 
-    def plateau(self) -> tuple[float, float] | None:
-        rad = self.plateau_half - self.eps
-        if rad <= 0:
-            return None
-        return self.center - rad, self.center + rad
-
     def _offset(self, x):
         u = np.asarray(x, dtype=float) - self.center
         if self.kind == "arc":

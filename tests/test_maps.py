@@ -91,26 +91,34 @@ def test_escape_radius_polynomial(square):
     assert abs(maps.evaluate(square, w)) > abs(w)
 
 
-def test_hyperbolicity_square(square):
-    rep = maps.hyperbolicity_probe(square)
+def census_rates(db):
+    """The probe's rates, read off the repelling cycles of a census's levels 1-6."""
+    return [la / m for m in maps.PROBE_PERIODS for la in db.level(m).log_abs.tolist()]
+
+
+def test_hyperbolicity_square(square, square_db):
+    rep = maps.hyperbolicity_probe(square, census_rates(square_db))
     assert rep.verdict == "hyperbolic-evidence"
     statuses = {s.status for s in rep.critical_orbit_summary}
     assert statuses == {"attracting-cycle"}
     assert rep.min_log_multiplier_rate > 0.05
 
 
-def test_hyperbolicity_basilica(basilica):
-    rep = maps.hyperbolicity_probe(basilica)
+def test_hyperbolicity_basilica(basilica, basilica_db):
+    rep = maps.hyperbolicity_probe(basilica, census_rates(basilica_db))
     assert rep.verdict == "hyperbolic-evidence"
     cycle = [s for s in rep.critical_orbit_summary if s.status == "attracting-cycle"]
     assert cycle and cycle[0].period == 2
 
 
 def test_hyperbolicity_inconclusive_near_parabolic():
-    # critical orbit of z^2 + 0.26 drifts out so slowly the probe refuses
+    # the fixed points of z^2 + 0.26 repel so weakly the probe refuses
     close = maps.RationalMapSpec(numerator=(0.26, 0.0, 1.0), denominator=(1.0,))
-    rep = maps.hyperbolicity_probe(close)
+    db = orbits.OrbitDatabase.for_map(close)
+    orbits.enumerate_primitive(close, 6, db, override_hyperbolicity=True)
+    rep = maps.hyperbolicity_probe(close, census_rates(db))
     assert rep.verdict == "inconclusive"
+    assert 0.0 < rep.min_log_multiplier_rate <= maps.RATE_FLOOR
 
 
 def test_load_map_roundtrip(basilica, basilica_file):

@@ -86,8 +86,8 @@ def test_backward_closes_deep_levels(basilica):
 
 
 def test_backward_census_walks_the_tree_once(basilica, monkeypatch):
-    # the census and the hyperbolicity probe each make one tree pass, and
-    # each pass runs the cycle finder once per requested depth; a walk
+    # a census makes one tree pass, which also serves the hyperbolicity
+    # probe, and runs the cycle finder once per requested depth; a walk
     # reads its slack off the census and makes the one pass of its own
     calls = {"_tree_levels": 0, "_level_cycles": 0}
     for name in calls:
@@ -97,13 +97,13 @@ def test_backward_census_walks_the_tree_once(basilica, monkeypatch):
         monkeypatch.setattr(orbits, name, counted)
     db = orbits.OrbitDatabase.for_map(basilica)
     orbits.enumerate_primitive(basilica, 8, db)
-    assert calls == {"_tree_levels": 2, "_level_cycles": 8 + 6}
+    assert calls == {"_tree_levels": 1, "_level_cycles": 8}
     assert db.max_complete_period() == 8
     # completed periods are not searched again
     orbits.enumerate_primitive(basilica, 10, db)
-    assert calls == {"_tree_levels": 3, "_level_cycles": 16}
+    assert calls == {"_tree_levels": 2, "_level_cycles": 10}
     orbits.multiplier_bounded_orbits(basilica, db, 2.0**8)
-    assert calls["_tree_levels"] == 4
+    assert calls["_tree_levels"] == 3
 
 
 def test_basilica_census_certifies_period_18(basilica, basilica_file, tmp_path, capsys):
@@ -145,9 +145,34 @@ def test_audit_refuses_repeated_ring_points(basilica, basilica_db):
 
 
 def test_backward_requires_hyperbolicity_evidence():
+    # the screen reads its rates off the census's own first levels, and its
+    # verdict gates the census before any level is recorded
     close = maps.RationalMapSpec(numerator=(0.26, 0.0, 1.0), denominator=(1.0,))
+    db = orbits.OrbitDatabase.for_map(close)
     with pytest.raises(MathDomainError, match="inconclusive"):
-        orbits.enumerate_primitive(close, 3, orbits.OrbitDatabase.for_map(close))
+        orbits.enumerate_primitive(close, 3, db)
+    assert db.max_complete_period() == 0
+    db = orbits.OrbitDatabase.for_map(close)
+    orbits.enumerate_primitive(close, 3, db, override_hyperbolicity=True)
+    assert (db.max_complete_period(), db.hyperbolicity) == (3, "inconclusive")
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_census_surfaces_a_tree_failure_below_the_screen(basilica, monkeypatch, depth):
+    # a failure in the levels the screen reads is the census's own error:
+    # neither an inconclusive verdict nor a verdict on the levels below it
+    level_cycles = orbits._level_cycles
+
+    def failing(map_spec, levels, parents, k, *rest):
+        if k == depth:
+            raise OrbitMatchingError(f"cycle finder failed at depth {k}")
+        return level_cycles(map_spec, levels, parents, k, *rest)
+
+    monkeypatch.setattr(orbits, "_level_cycles", failing)
+    db = orbits.OrbitDatabase.for_map(basilica)
+    with pytest.raises(OrbitMatchingError, match=f"depth {depth}"):
+        orbits.enumerate_primitive(basilica, 8, db)
+    assert (db.max_complete_period(), db.hyperbolicity) == (0, None)
 
 
 def test_roots_method_degree_cap(square):
@@ -302,7 +327,7 @@ def test_incomplete_census_raises(basilica):
 
 def test_max_complete_period(basilica_db):
     assert basilica_db.max_complete_period() >= 12
-    ent = basilica_db.entry(5)
+    ent = basilica_db.level(5)
     assert ent.complete and ent.method in ("roots", "backward", "both")
 
 
@@ -589,6 +614,13 @@ def test_census_slack_refuses_an_unmeasured_level(basilica, basilica_db):
     db = orbits.OrbitDatabase(basilica.fingerprint, entries=entries)
     with pytest.raises(IncompleteCensusError, match="period 3 holds 2 repelling cycles but no measured"):
         orbits.census_slack(basilica, db)
+
+
+def test_cached_walk_checks_the_map(square, basilica_db14, basilica_walk, maxent_alpha):
+    t = math.exp(maxent_alpha * 13)
+    assert basilica_db14._walk_cache[t] is basilica_walk
+    with pytest.raises(FingerprintMismatchError):
+        orbits.multiplier_bounded_orbits(square, basilica_db14, t)
 
 
 def test_walk_slack_widening_changes_no_count(basilica, basilica_walk):

@@ -34,3 +34,31 @@ def test_every_public_function_has_a_caller_in_the_package():
         )
     unused = {f"{module}.{name}" for name, module in defined.items() if name not in used}
     assert sorted(unused - REFERENCES) == []
+
+
+def test_module_imports_are_acyclic():
+    # every import between the package's modules, those inside functions
+    # included, points one way: a module never depends on itself
+    modules = {path.stem: path for path in Path(orbitctl.__file__).parent.glob("*.py")}
+    modules.pop("__init__")
+    graph = {}
+    for name, path in modules.items():
+        deps = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps.update([node.module] if node.module else (alias.name for alias in node.names))
+        graph[name] = deps & modules.keys()
+    done, stack = set(), []
+
+    def visit(name):
+        assert name not in stack, " -> ".join(stack[stack.index(name):] + [name])
+        if name in done:
+            return
+        stack.append(name)
+        for dep in sorted(graph[name]):
+            visit(dep)
+        stack.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
