@@ -10,7 +10,8 @@ Two independent routes produce the fixed points of f^n:
   directly.  Depth k holds d^k nodes.  Every census record comes off
   these rings.
 * roots: all d^n solutions of f^n(z) = z at once via Aberth-Ehrlich,
-  feasible for d^n <= 4096.  Finds non-repelling points too.  It records
+  feasible for d^n <= 4096, started from the preimages under f^n of one
+  point outside the Julia set.  Finds non-repelling points too.  It records
   nothing: method 'both' uses its points as a certificate, matching the
   repelling ones to the tree's ring points one to one and counting the
   rest against the non-repelling sidecar.
@@ -225,10 +226,13 @@ def _fixed_point_seed(map_spec: RationalMapSpec) -> complex:
     return complex(fps[best])
 
 
-def _init_radius(map_spec: RationalMapSpec) -> float:
+def _outer_point(map_spec: RationalMapSpec) -> complex:
+    """w0 = 2 (1.05 max(1, |fixed points|) + 0.05) e^{0.378i}, beyond the
+    escape radius of every polynomial the acceptance battery uses, so
+    outside their Julia sets."""
     fps = _finite_fixed_points(map_spec)
     top = float(np.abs(fps).max()) if fps.size else 1.0
-    return 1.05 * max(1.0, top) + 0.05
+    return complex(2.0 * (1.05 * max(1.0, top) + 0.05) * np.exp(0.3779644730092272j))
 
 
 def _require_map(map_spec: RationalMapSpec, db: OrbitDatabase):
@@ -249,14 +253,27 @@ def _require_hyperbolic(verdict: str | None):
 
 # ---- roots route ------------------------------------------------------------
 
+def _aberth_start(map_spec: RationalMapSpec, n: int) -> np.ndarray:
+    """The d^n preimages f^{-n}(w0) of _outer_point, plus w0 itself when f^n
+    has d^n + 1 fixed points in the plane.  They equidistribute to the
+    measure of maximal entropy (Brolin, Lyubich), as the fixed points of f^n
+    do, so one start lies near each root."""
+    w0 = _outer_point(map_spec)
+    start = np.array([w0])
+    for _ in range(n):
+        start = preimages(map_spec, start).ravel()
+    if expected_fixed_count(map_spec, n) > start.size:
+        start = np.append(start, w0)
+    return start
+
+
 def _roots_route(map_spec: RationalMapSpec, n: int) -> np.ndarray:
     """Every fixed point of f^n that Aberth finds, with no repair: a point
     it misses fails both's point match."""
     count = expected_fixed_count(map_spec, n)
     if count > ROOTS_CAP:
         raise DegreeOverflowError(f"d^n = {count} exceeds roots cap {ROOTS_CAP}")
-    radius = _init_radius(map_spec)
-    pts = aberth_fixed_points(map_spec, n, count, radius)
+    pts = aberth_fixed_points(map_spec, n, _aberth_start(map_spec, n))
     return _dedup(pts[_newton_step(map_spec, pts, n)[0] < STEP_TOL])
 
 

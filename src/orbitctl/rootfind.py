@@ -5,6 +5,11 @@ coefficients overflow double precision already around n = 11 for quadratic
 maps, so F and F' are evaluated by composition (forward iteration plus the
 chain rule).  Aberth-Ehrlich only needs F/F' at the current points and the
 root count, which makes the composition route exact enough.
+
+Aberth starts from the caller's points, one per root.  The census starts
+it from the preimages under f^n of one point outside the Julia set: they
+equidistribute to the same measure as the fixed points of f^n, so each
+start lies near a root and the sweeps go to the solve, not to the approach.
 """
 
 from __future__ import annotations
@@ -96,20 +101,20 @@ def _repulsion(z_all: np.ndarray, rows: np.ndarray, chunk: int = 32) -> np.ndarr
     return out
 
 
-def aberth_fixed_points(map_spec: RationalMapSpec, n: int, count: int, radius: float) -> np.ndarray:
-    """All `count` roots of f^n(z) = z by Aberth-Ehrlich from a circle about 0.
+def aberth_fixed_points(map_spec: RationalMapSpec, n: int, start: np.ndarray) -> np.ndarray:
+    """All roots of f^n(z) = z by Aberth-Ehrlich, one from each start point.
 
+    The start must hold as many distinct points as f^n(z) = z has roots;
+    the census passes f^{-n}(w0) for a w0 outside the Julia set
+    (orbits._aberth_start), which already puts one start near each root.
     Points whose forward evaluation overflows are pulled back toward the
     origin deterministically; convergence is per-point on the Newton
     correction, and converged points are frozen (they keep repelling the
     active ones).  NonConvergenceError when points are still active after
     ABERTH_SWEEPS sweeps.
     """
-    # the first sweep must evaluate f^n in range, or every point starts bad
-    radius = min(radius, np.exp(60.0 / count))
-    k = np.arange(count)
-    angles = 2.0 * np.pi * (k + 0.5) / count + 0.3779644730092272 / max(count, 8)
-    z = radius * np.exp(1j * angles)
+    z = np.array(start, dtype=complex).ravel()
+    count = z.size
     active = np.ones(count, dtype=bool)
 
     for _ in range(ABERTH_SWEEPS):

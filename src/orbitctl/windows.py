@@ -86,10 +86,6 @@ class SmoothedWindow:
     def _support_radius(self) -> float:
         return self.plateau_half + self.eps
 
-    def support(self) -> tuple[float, float]:
-        rad = self._support_radius()
-        return self.center - rad, self.center + rad
-
     def _offset(self, x):
         u = np.asarray(x, dtype=float) - self.center
         if self.kind == "arc":
@@ -103,13 +99,6 @@ class SmoothedWindow:
         if np.isscalar(x):
             return float(vals)
         return vals
-
-    def integral(self) -> float:
-        """Exact integral over the line (or the circle): amp * 2a."""
-        return self.amp * 2.0 * self.plateau_half
-
-    def dominates_indicator(self) -> bool:
-        return self.side == "outer"
 
 
 def make_bump(

@@ -220,6 +220,15 @@ def test_both_checks_every_root(square, monkeypatch, drop, error):
     assert db.max_complete_period() == 0
 
 
+def test_both_certifies_the_basilica_through_12(basilica):
+    # Aberth from a circle left 717 of 2048 points unconverged at n = 11;
+    # from the preimages of a point outside the Julia set every level closes
+    db = orbits.OrbitDatabase.for_map(basilica)
+    orbits.enumerate_primitive(basilica, 12, db, method="both")
+    assert db.max_complete_period() == 12
+    assert {db.level(n).method for n in range(1, 13)} == {"both"}
+
+
 def test_unclosed_ring_counts_unpolished_points(basilica, monkeypatch):
     # the ring polish runs out of budget: the level's names sit 1e-6 off
     # their cycles and newton_polish then takes no step

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from orbitctl import maps, orbits, rootfind
+from orbitctl.acceptance import MAPS
 
 
 def sorted_points(pts):
@@ -16,7 +18,7 @@ def sorted_points(pts):
 
 def test_aberth_square_n2_exact(square):
     # z^4 = z: 0 and the cube roots of unity
-    got = rootfind.aberth_fixed_points(square, 2, 4, 1.5)
+    got = rootfind.aberth_fixed_points(square, 2, orbits._aberth_start(square, 2))
     expected = [0.0, 1.0, cmath.exp(2j * cmath.pi / 3), cmath.exp(-2j * cmath.pi / 3)]
     gaps = np.abs(sorted_points(got) - sorted_points(expected))
     assert gaps.max() < 1e-12
@@ -25,12 +27,47 @@ def test_aberth_square_n2_exact(square):
 
 def test_aberth_count_and_residuals_deeper(basilica):
     n = 7
-    got = rootfind.aberth_fixed_points(basilica, n, 2**n, 2.0)
+    got = rootfind.aberth_fixed_points(basilica, n, orbits._aberth_start(basilica, n))
     assert len(got) == 2**n
     assert orbits._newton_step(basilica, got, n)[0].max() < orbits.STEP_TOL
     # all distinct: hyperbolic maps have simple fixed-point equations
     diffs = np.abs(got[:, None] - got[None, :]) + np.eye(len(got))
     assert diffs.min() > 1e-8
+
+
+def test_aberth_square_n10_roots_of_unity(square):
+    # z^1024 = z: 0, superattracting, and the 1023rd roots of unity, all
+    # reached from starts on the circle |z| = |w0|^(1/1024)
+    got = rootfind.aberth_fixed_points(square, 10, orbits._aberth_start(square, 10))
+    expected = np.append(0.0, np.exp(2j * np.pi * np.arange(1023) / 1023))
+    dist, idx = cKDTree(np.c_[expected.real, expected.imag]).query(np.c_[got.real, got.imag])
+    assert dist.max() < 1e-12
+    assert np.unique(idx).size == 1024
+
+
+@pytest.mark.parametrize("spec, n", [
+    (maps.RationalMapSpec(numerator=(-1.0, 0.0, 1.0)), 8),
+    (maps.RationalMapSpec(numerator=(0.0, 0.0, 0.0, 1.0)), 5),
+    (maps.RationalMapSpec(numerator=(0.1, 0.0, 1.0), denominator=(1.0, 0.3)), 6),
+    # deg P = deg Q: infinity is not fixed, and w0 itself is the extra start
+    (maps.RationalMapSpec(numerator=(1.0, 0.0, 1.0), denominator=(-1.0, 0.0, 1.0)), 5),
+])
+def test_aberth_start_is_the_preimages_of_one_point(spec, n):
+    w0 = orbits._outer_point(spec)
+    start = orbits._aberth_start(spec, n)
+    assert start.size == orbits.expected_fixed_count(spec, n)
+    pulled = start[: spec.degree**n]
+    image, _, bad = rootfind.fn_shift(spec, pulled, n)
+    assert not bad.any()
+    assert np.abs(image + pulled - w0).max() <= 1e-9 * abs(w0)
+    assert start[spec.degree**n:].tolist() == [w0] * (start.size - spec.degree**n)
+
+
+@pytest.mark.parametrize("key", sorted(MAPS))
+def test_outer_point_lies_beyond_the_escape_radius(key):
+    spec = MAPS[key]
+    assert spec.is_polynomial
+    assert abs(orbits._outer_point(spec)) > maps.escape_radius(spec)
 
 
 def test_newton_polish_recovers_perturbed_roots(square):
