@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 from .maps import RationalMapSpec
@@ -118,8 +117,6 @@ def predicted_count_shrinking(
 @dataclass(frozen=True)
 class SmoothedCount:
     value: float              # sum of window products over primitive orbits
-    fixed_point_value: float  # (1/n) * same sum over all level-n fixed points
-    gap: float
     n: int
     sample_size: int
 
@@ -131,36 +128,14 @@ def smoothed_count(
     interval_window: SmoothedWindow | None = None,
     arc_window: SmoothedWindow | None = None,
 ) -> SmoothedCount:
-    """Window-weighted orbit sum next to its fixed-point-sum cousin.
-
-    The fixed-point variant reconstructs every level-n point from the
-    divisor censuses and divides by n; for expanding maps the two agree up
-    to exponentially small divisor contributions.
-    """
-    from .thermo import level_terms
-
+    """Window-weighted sum over the primitive level-n orbits."""
     ent = db.level(n)
-    u = ent.log_abs - n * alpha
-
-    def weight(uu, tt):
-        w = np.ones(uu.shape, dtype=float)
-        if interval_window is not None:
-            w = w * interval_window(uu)
-        if arc_window is not None:
-            w = w * arc_window(tt)
-        return w
-
-    value = float(np.sum(weight(u, ent.theta)))
-    r_all, th_all, w_all = level_terms(db, n)
-    u_all = r_all - n * alpha
-    fixed_value = float(np.sum(w_all * weight(u_all, th_all))) / n
-    return SmoothedCount(
-        value=value,
-        fixed_point_value=fixed_value,
-        gap=abs(value - fixed_value),
-        n=n,
-        sample_size=int(u.size),
-    )
+    weight = np.ones(ent.z.size)
+    if interval_window is not None:
+        weight = weight * interval_window(ent.log_abs - n * alpha)
+    if arc_window is not None:
+        weight = weight * arc_window(ent.theta)
+    return SmoothedCount(value=float(np.sum(weight)), n=n, sample_size=int(ent.z.size))
 
 
 @dataclass(frozen=True)
@@ -205,14 +180,34 @@ def weyl_sums(
     return WeylReport(n=n, k_values=ks, magnitudes=mags, sample_size=int(th.size), empty=False)
 
 
+EULER_GAMMA = 0.5772156649015329
+LI_2 = 1.0451637801174928  # li(2)
+
+
 def logarithmic_integral(x: float) -> float:
-    """Li(x) = integral from 2 to x of du / log u; defined for x >= 2."""
+    """Li(x) = integral from 2 to x of du / log u = li(x) - li(2); defined
+    for x >= 2.  li by Ramanujan's series
+
+        li(x) = gamma + log log x + sqrt(x) sum_{n >= 1} (-1)^(n-1) (log x)^n
+                / (n! 2^(n-1)) sum_{k = 0}^{floor((n-1)/2)} 1 / (2k + 1),
+
+    summed until a term past the largest, near n = log x, leaves the sum
+    unchanged."""
     if x < 2.0:
         raise DomainError(f"Li is defined from 2 upward, got {x:.6g}")
     if x == 2.0:
         return 0.0
-    val, _ = quad(lambda u: 1.0 / math.log(u), 2.0, x, limit=200)
-    return float(val)
+    log_x = math.log(x)
+    total, power, odd, n = 0.0, -2.0, 0.0, 0
+    while True:
+        n += 1
+        power *= -log_x / (2 * n)  # (-1)^(n-1) (log x)^n / (n! 2^(n-1))
+        if n % 2:
+            odd += 1.0 / n
+        if total + power * odd == total and n > log_x:
+            break
+        total += power * odd
+    return EULER_GAMMA + math.log(log_x) + math.sqrt(x) * total - LI_2
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegreeOverflowError,
@@ -179,26 +178,167 @@ def expected_fixed_count(map_spec: RationalMapSpec, n: int) -> int:
 
 
 # ---- point sets ------------------------------------------------------------
+#
+# Exact proximity queries on a grid.  The plane around the points is cut
+# into 2^31 x 2^31 cells and the nodes are sorted once by the Morton key of
+# their cell, which interleaves the bits of its two coordinates, so every
+# aligned square of 2^s x 2^s cells holds one run of the sorted keys.  A
+# disc of radius r lies inside the 2 x 2 block of aligned squares of side at
+# least 2r around its centre: the four runs of that block hold every node
+# within r, and a distance test on them is exact.
+
+GRID_BITS = 31
+SMALL_PAIRS = 65536  # up to this many pairs, measuring every distance beats the grid
+_DILATE = ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
+           (2, 0x3333333333333333), (1, 0x5555555555555555))
+_X_BITS = 0x5555555555555555  # the bits of a key that hold the x cell
+_Y_BITS = ~_X_BITS            # and the y cell (bit 63, the sign, among them)
+
+
+def _dilate(v: np.ndarray) -> np.ndarray:
+    """Each v < 2^31 with its bits moved to the even bit positions."""
+    for shift, mask in _DILATE:
+        v = (v | (v << shift)) & mask
+    return v
+
+
+class _Grid:
+    """A grid over the bounding box of the finite nodes and the (finite)
+    queries, not both empty.  keys holds the Morton keys of the nodes' cells
+    in increasing order, order[p] the node at position p, and query_keys
+    those of the queries."""
+
+    def __init__(self, nodes: np.ndarray, queries: np.ndarray):
+        finite = np.flatnonzero(np.isfinite(nodes))
+        pts = np.concatenate([nodes[finite], queries])
+        x0, y0 = pts.real.min(), pts.imag.min()
+        span = max(pts.real.max() - x0, pts.imag.max() - y0)
+        self.h = span / (2**GRID_BITS - 1) if span > 0 else 1.0
+        cells = np.concatenate([pts.real - x0, pts.imag - y0]) / self.h
+        cells = _dilate(np.minimum(cells.astype(np.int64), 2**GRID_BITS - 1))
+        key = cells[: pts.size] | (cells[pts.size :] << 1)
+        order = np.argsort(key[: finite.size])
+        self.order, self.keys, self.query_keys = finite[order], key[order], key[finite.size :]
+
+    def runs(self, key: np.ndarray, radius):
+        """(lo, hi), each of shape (4, key.size): the positions lo <= p < hi
+        of the nodes in the 2 x 2 block around each query cell whose squares
+        have side at least 2 radius (a scalar or one per query), which holds
+        every node within radius.  The margin of 1e-3 cells covers the
+        rounding of cell coordinates."""
+        scale = 2.0 * radius / self.h + 1e-3
+        level = np.where(scale < 2.0**GRID_BITS, np.frexp(scale)[1], GRID_BITS)
+        width = np.int64(1) << (2 * np.clip(level, 1, GRID_BITS).astype(np.int64))  # keys per square
+        square = key & -width
+        x, y = square & _X_BITS, square & _Y_BITS
+        # the neighbouring square on the side of the half the query lies in:
+        # a carry or borrow runs through the other coordinate's bits, and a
+        # step off the grid sets bit 62 of x or bit 63 of y
+        x_next = np.where(key & (width >> 2), (square | _Y_BITS) + width, x - width) & _X_BITS
+        y_next = np.where(key & (width >> 1), (square | _X_BITS) + (width << 1), y - (width << 1)) & _Y_BITS
+        start = np.stack([square, x_next | y, x | y_next, x_next | y_next])
+        lo, hi = np.searchsorted(self.keys, [start, start + width])
+        x_off, y_off = x_next >= 2**61, y_next < 0
+        outside = np.stack([np.zeros_like(x_off), x_off, y_off, x_off | y_off])
+        return lo, np.where(outside, lo, hi)
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray):
+    """(column, p) for every position lo[r, column] <= p < hi[r, column],
+    in order of column."""
+    count = np.maximum(hi - lo, 0).T.ravel()
+    column = np.repeat(np.arange(count.size) // lo.shape[0], count)
+    return column, np.arange(column.size) + np.repeat(lo.T.ravel() - (np.cumsum(count) - count), count)
+
+
+def _close_pairs(points: np.ndarray, r: float):
+    """(i, j): every pair i < j of finite points at most r apart, once."""
+    idx = np.flatnonzero(np.isfinite(points))
+    z = points[idx]
+    if z.size**2 <= SMALL_PAIRS:
+        i, j = np.nonzero(np.triu(np.abs(z[:, None] - z) <= r, 1))
+        return idx[i], idx[j]
+    grid = _Grid(z, z[:0])
+    z = z[grid.order]
+    lo, hi = grid.runs(grid.keys, float(r))
+    # each pair from the one of its points that comes first along the curve
+    p, q = _expand(np.maximum(lo, np.arange(1, z.size + 1)), hi)
+    near = np.abs(z[p] - z[q]) <= r
+    i, j = idx[grid.order[p[near]]], idx[grid.order[q[near]]]
+    return np.minimum(i, j), np.maximum(i, j)
+
+
+def _nearest(q: np.ndarray, nodes: np.ndarray, skip: np.ndarray | None = None, bound=np.inf):
+    """(index, distance) of the node nearest each query point, exactly; of
+    nodes at one distance, one of them.  Query i passes over node skip[i]
+    when skip is given.  A query with no node within its bound (a scalar or
+    one per query), or non-finite, gets -1 and inf."""
+    idx = np.full(q.size, -1, dtype=np.int64)
+    dist = np.full(q.size, np.inf)
+    fq = np.flatnonzero(np.isfinite(q))
+    if fq.size and np.isfinite(nodes).any():
+        search = _nearest_by_matrix if fq.size * nodes.size <= SMALL_PAIRS else _nearest_on_grid
+        bound = np.broadcast_to(bound, q.shape)[fq]
+        found, d = search(q[fq], nodes, None if skip is None else skip[fq], bound)
+        idx[fq], dist[fq] = found, np.where(d > bound, np.inf, d)
+    idx[np.isinf(dist)] = -1
+    return idx, dist
+
+
+def _nearest_by_matrix(z: np.ndarray, nodes: np.ndarray, skip, bound):
+    """_nearest for finite queries z by every query-node distance."""
+    d = np.abs(z[:, None] - nodes)
+    d[np.isnan(d)] = np.inf
+    if skip is not None:
+        d[np.arange(z.size), skip] = np.inf
+    best = d.argmin(axis=1)
+    return best, d[np.arange(z.size), best]
+
+
+def _nearest_on_grid(z: np.ndarray, nodes: np.ndarray, skip, bound):
+    """_nearest for finite queries z on a _Grid of the nodes.  The search
+    around a query covers the distance to the nodes next to it along the
+    curve, or its bound if less."""
+    grid = _Grid(nodes, z)
+    rows = np.argsort(grid.query_keys)  # queries in key order search the sorted keys in order
+    key = grid.query_keys[rows]
+    found, dist = np.empty(z.size, dtype=np.int64), np.empty(z.size)
+    # a first bound: the nearest of the nodes next to the query along the curve
+    at = np.searchsorted(grid.keys, key)[:, None] + np.arange(-1, 1 + (skip is not None))
+    near = grid.order[np.clip(at, 0, grid.keys.size - 1)]
+    d = np.abs(z[rows, None] - nodes[near])
+    if skip is not None:
+        d[near == skip[rows, None]] = np.inf
+    best = d.argmin(axis=1)
+    found[rows], dist[rows] = near[np.arange(rows.size), best], d[np.arange(rows.size), best]
+    # the exact nearest within that bound, where it is above 0
+    open_ = dist[rows] > 0
+    rows = rows[open_]
+    i, p = _expand(*grid.runs(key[open_], np.minimum(dist[rows], bound[rows])))
+    j = grid.order[p]
+    d = np.abs(z[rows[i]] - nodes[j])
+    if skip is not None:
+        d[j == skip[rows[i]]] = np.inf
+    if i.size:
+        start = np.flatnonzero(np.r_[True, i[1:] != i[:-1]])
+        hit = np.flatnonzero(d == np.repeat(np.minimum.reduceat(d, start), np.diff(np.r_[start, i.size])))
+        hit = hit[np.r_[True, i[hit[1:]] != i[hit[:-1]]]]
+        found[rows[i[hit]]], dist[rows[i[hit]]] = j[hit], d[hit]
+    return found, dist
+
 
 def _dedup(points: np.ndarray, tol: float = PAIR_TOL) -> np.ndarray:
-    if points.size == 0:
-        return points
-    xy = np.column_stack([points.real, points.imag])
-    tree = cKDTree(xy)
+    """Indices of the points left once the later point of every pair within
+    tol is dropped, in order of real then imaginary part."""
     keep = np.ones(points.size, dtype=bool)
-    # each pair comes as (i, j) with i < j: the later point of a pair goes
-    keep[tree.query_pairs(tol, output_type="ndarray")[:, 1]] = False
-    out = points[keep]
-    order = np.lexsort((out.imag, out.real))
-    return out[order]
+    keep[_close_pairs(points, tol)[1]] = False
+    kept = np.flatnonzero(keep)
+    return kept[np.lexsort((points[kept].imag, points[kept].real))]
 
 
 def _match_counts(a: np.ndarray, b: np.ndarray, tol: float = PAIR_TOL) -> int:
     """Number of points of a within tol of a point of b."""
-    if a.size == 0 or b.size == 0:
-        return 0
-    dist, _ = cKDTree(np.column_stack([b.real, b.imag])).query(np.column_stack([a.real, a.imag]))
-    return int(np.count_nonzero(dist <= tol))
+    return int(np.count_nonzero(_nearest(a, b, bound=tol)[1] <= tol))
 
 
 def _finite_fixed_points(map_spec: RationalMapSpec) -> np.ndarray:
@@ -267,14 +407,18 @@ def _aberth_start(map_spec: RationalMapSpec, n: int) -> np.ndarray:
     return start
 
 
-def _roots_route(map_spec: RationalMapSpec, n: int) -> np.ndarray:
-    """Every fixed point of f^n that Aberth finds, with no repair: a point
-    it misses fails both's point match."""
+def _roots_route(map_spec: RationalMapSpec, n: int):
+    """(roots, multipliers): every fixed point of f^n that Aberth finds, with
+    no repair, and (f^n)' at each from the step test that accepts it.  A
+    point it misses fails both's point match."""
     count = expected_fixed_count(map_spec, n)
     if count > ROOTS_CAP:
         raise DegreeOverflowError(f"d^n = {count} exceeds roots cap {ROOTS_CAP}")
     pts = aberth_fixed_points(map_spec, n, _aberth_start(map_spec, n))
-    return _dedup(pts[_newton_step(map_spec, pts, n)[0] < STEP_TOL])
+    step, mult = _newton_step(map_spec, pts, n)
+    on_cycle = np.flatnonzero(step < STEP_TOL)
+    kept = on_cycle[_dedup(pts[on_cycle])]
+    return pts[kept], mult[kept]
 
 
 # ---- cycle records -------------------------------------------------------
@@ -412,8 +556,8 @@ def _check_roots(map_spec: RationalMapSpec, db: OrbitDatabase, n: int, rings: di
     points of f^n (IncompleteCensusError).
     """
     tree_pts = np.concatenate([rings[m].ravel() for m in divisors(n)])
-    roots = _roots_route(map_spec, n)
-    rep = roots[np.abs(1.0 + fn_shift(map_spec, roots, n)[1]) > 1.0]
+    roots, mult = _roots_route(map_spec, n)
+    rep = roots[np.abs(mult) > 1.0]
     m_tr, m_rt = _match_counts(tree_pts, rep), _match_counts(rep, tree_pts)
     if m_tr != tree_pts.size or m_rt != rep.size:
         raise OrbitMatchingError(
@@ -605,19 +749,19 @@ def _name_cycles(map_spec: RationalMapSpec, z: np.ndarray, k: int):
         least = np.where(_precedes(w, least), w, least)
     # one Newton polish per named point: least points read off the raw
     # forward orbit drift apart by more than the pairing tolerance
-    reps = _dedup(newton_polish(map_spec, _dedup(least), k))
+    reps = newton_polish(map_spec, least[_dedup(least)], k)
+    reps = reps[_dedup(reps)]
     # least points that tie in roundoff can name one cycle twice: keep the
     # least of the names each name's orbit passes (nan where it meets none)
-    tree = cKDTree(np.column_stack([reps.real, reps.imag]))
     rep_ring = _forward_orbit(map_spec, reps, k).ravel()
-    tol = 1e-8 * (1.0 + np.abs(rep_ring))
-    xy = np.column_stack([rep_ring.real, rep_ring.imag])
-    dist, near = tree.query(xy, k=1, distance_upper_bound=tol.max(initial=0.0))
-    near = np.where(dist <= tol, near, reps.size)
-    best = _least_first(np.append(reps, np.nan)[near.reshape(k, reps.size)])[0]
+    bound = np.append(1e-8 * (1.0 + np.abs(rep_ring)), np.full(least.size, np.inf))
+    near = _nearest(np.append(rep_ring, least), reps, bound=bound)[0]
+    # a ring point with no name within its bound gets -1, which picks the nan
+    best = _least_first(np.append(reps, np.nan)[near[: rep_ring.size].reshape(k, reps.size)])[0]
     heads, slot = np.unique(best, return_inverse=True)
-    _, name = tree.query(np.column_stack([least.real, least.imag]), k=1)
-    return slot[name], heads
+    # each point is named by the name nearest its least point: the name its
+    # least point was merged into can polish onto a cycle a few 1e-9 away
+    return slot[near[rep_ring.size :]], heads
 
 
 def _level_cycles(map_spec: RationalMapSpec, levels, parents, k: int, log_bound: float = math.inf):
@@ -1017,8 +1161,13 @@ def verify_census(map_spec: RationalMapSpec, db: OrbitDatabase) -> dict[str, flo
         check(n, "multiplier", ~(d_abs <= 1e-12) | ~(d_theta <= 1e-12),
               "stored multipliers differ from their ring's by more than 1e-12")
         pts = ring.ravel()
-        xy = np.column_stack([pts.real, pts.imag])
-        gap = cKDTree(xy).query(xy, k=[2])[0][:, 0] / (1.0 + np.abs(pts))
+        scale = 1.0 + np.abs(pts)
+        # neighbours in real part bound the least gap; points whose nearest
+        # ring point lies beyond it, and beyond the test's radius, get inf
+        by_real = np.argsort(pts.real)
+        least = (np.abs(np.diff(pts[by_real])) / scale[by_real][1:]).min(initial=np.inf)
+        bound = max(least, STEP_TOL) * scale.max()
+        gap = _nearest(pts, pts, skip=np.arange(pts.size), bound=bound)[1] / scale
         check(n, "distinct cycles", gap < STEP_TOL,
               f"ring points lie within {STEP_TOL:.0e} (1 + |z|) of another ring point")
         worst = np.maximum(worst, [step.max(), d_abs.max(), d_theta.max()])

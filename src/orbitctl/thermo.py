@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     AlphaOutOfRangeError,
@@ -36,6 +35,7 @@ from .errors import (
 from .orbits import OrbitDatabase, divisors
 
 T_SPAN = 40.0  # the profile looks for its tilt in (-T_SPAN, T_SPAN)
+BRENT_STEPS = 100  # Brent's step budget, scipy.optimize.brentq's default maxiter
 
 
 def level_terms(db: OrbitDatabase, n: int):
@@ -181,17 +181,55 @@ def bracketed_root(
             f"{label} does not change sign on ({lo}, {hi}): "
             f"f({lo}) = {f_lo:.4g}, f({hi}) = {f_hi:.4g}"
         )
-    value, info = brentq(probe, lo, hi, xtol=rel_tol, rtol=rel_tol, full_output=True, disp=False)
-    if not info.converged:
-        raise NonConvergenceError(
-            f"{label}: Brent stopped unconverged ({info.flag}) after {info.iterations} steps"
-        )
+    value = _brent(probe, lo, hi, f_lo, f_hi, rel_tol)
+    if value is None:
+        raise NonConvergenceError(f"{label}: Brent stopped unconverged after {BRENT_STEPS} steps")
     residual = abs(probe(value))
     if not residual <= residual_tol:
         raise NonConvergenceError(
             f"{label} residual {residual:.2e} above {residual_tol:.1e} at t = {value:.12g}"
         )
     return value, residual, len(seen)
+
+
+def _brent(fn, xpre: float, xcur: float, fpre: float, fcur: float, tol: float) -> float | None:
+    """Brent's method from the ends xpre, xcur, where fn takes fpre and fcur
+    of opposite signs or 0, step for step as scipy.optimize.brentq runs it
+    with xtol = rtol = tol: it stops once the root is pinned to
+    tol (1 + |root|).  None after BRENT_STEPS steps without that."""
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_STEPS):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + tol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fn(xcur)
+    return None
 
 
 def thermo_profile(db: OrbitDatabase, alpha: float, n: int) -> ThermoProfile:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     CriticalValueError,
@@ -27,7 +26,7 @@ from .errors import (
     NormalizationError,
 )
 from .maps import DERIV_FLOOR, RationalMapSpec, derivative_values
-from .orbits import _fixed_point_seed, preimages
+from .orbits import _fixed_point_seed, _nearest, preimages
 from .thermo import DimensionResult, bracketed_root
 
 COLLISION_TOL = 1e-9
@@ -93,9 +92,8 @@ def build_mesh(map_spec: RationalMapSpec, depth: int) -> CollocationMesh:
     pre_r = np.log(np.abs(fp))
     pre_theta = np.mod(np.arctan2(fp.imag, fp.real), 2.0 * np.pi)
 
-    tree = cKDTree(np.column_stack([points.real, points.imag]))
-    dist, idx = tree.query(np.column_stack([pre.real.ravel(), pre.imag.ravel()]), k=1)
-    pre_index = idx.reshape(pre.shape).astype(np.int64)
+    idx, dist = _nearest(pre.ravel(), points)
+    pre_index = idx.reshape(pre.shape)
     resolution = float(dist.max())
     return CollocationMesh(
         points=points,

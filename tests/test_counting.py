@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,14 @@ def test_predicted_count_shrinking_midpoint_bound():
 
 # ---- smoothed counts --------------------------------------------------------
 
+def fixed_point_sum(db, n, alpha, window=None):
+    """(1/n) times the window-weighted sum over all level-n fixed points,
+    every point rebuilt from the divisor censuses."""
+    r, _, mult = thermo.level_terms(db, n)
+    weight = np.ones(r.size) if window is None else window(r - n * alpha)
+    return float(np.sum(mult * weight)) / n
+
+
 def test_smoothed_count_sandwich(basilica_db, maxent_alpha):
     outer = windows.make_bump("interval", 0.0, 1.0, 0.2, side="outer")
     inner = windows.make_bump("interval", 0.0, 1.0, 0.2, side="inner")
@@ -226,15 +235,16 @@ def test_smoothed_count_sandwich(basilica_db, maxent_alpha):
         lo = counting.smoothed_count(basilica_db, n, maxent_alpha, interval_window=inner)
         assert lo.value <= sharp <= hi.value
         # orbit sum versus fixed-point sum: divisor levels contribute little
-        assert hi.gap <= 0.05 * max(hi.value, 1.0)
-        assert lo.gap <= 0.05 * max(lo.value, 1.0)
+        for window, sc in ((outer, hi), (inner, lo)):
+            gap = abs(sc.value - fixed_point_sum(basilica_db, n, maxent_alpha, window))
+            assert gap <= 0.05 * max(sc.value, 1.0)
 
 
 def test_smoothed_count_trivial_weight(basilica_db, maxent_alpha):
     sc = counting.smoothed_count(basilica_db, 9, maxent_alpha)
     assert sc.value == pytest.approx(basilica_db.level(9).z.size)
     assert sc.sample_size == basilica_db.level(9).z.size
-    assert sc.gap < 0.05 * sc.value
+    assert abs(sc.value - fixed_point_sum(basilica_db, 9, maxent_alpha)) < 0.05 * sc.value
 
 
 # ---- Weyl sums ---------------------------------------------------------------
@@ -281,6 +291,13 @@ def test_logarithmic_integral_values():
     )
     with pytest.raises(DomainError):
         counting.logarithmic_integral(1.5)
+
+
+@pytest.mark.parametrize("x", [2.5, 10.0, 1e4, 1e8])
+def test_logarithmic_integral_matches_mpmath(x):
+    with mpmath.workdps(30):
+        want = mpmath.li(x) - mpmath.li(2)
+    assert abs(counting.logarithmic_integral(x) - want) <= 1e-13 * abs(want)
 
 
 def test_li_table_from_map_counts_past_census(basilica, basilica_db14):

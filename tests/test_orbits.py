@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from orbitctl import cli, maps, orbits, rootfind
@@ -35,7 +37,7 @@ def ring_points(spec, n):
 
 def test_fixed_point_set_square_n2(square):
     # the roots route returns the full algebraic set, superattracting 0 included
-    pts = orbits._roots_route(square, 2)
+    pts, _ = orbits._roots_route(square, 2)
     expected = [0.0, 1.0, cmath.exp(2j * cmath.pi / 3), cmath.exp(-2j * cmath.pi / 3)]
     assert as_set(pts) == as_set(expected)
     # the tree's rings hold the repelling points only
@@ -43,7 +45,7 @@ def test_fixed_point_set_square_n2(square):
 
 
 def test_fixed_point_set_basilica_n2(basilica):
-    pts = orbits._roots_route(basilica, 2)
+    pts, _ = orbits._roots_route(basilica, 2)
     expected = [0.0, -1.0, PHI, 1.0 - PHI]
     assert as_set(pts) == as_set(expected)
 
@@ -52,7 +54,7 @@ def test_methods_agree_point_for_point():
     # z^2 + 0.1, and z^3 + 0.1 z, whose inverse branches have no closed form
     for numerator, n in (((0.1, 0.0, 1.0), 6), ((0.0, 0.1, 0.0, 1.0), 5)):
         spec = maps.RationalMapSpec(numerator=numerator, denominator=(1.0,))
-        via_roots = orbits._roots_route(spec, n)
+        via_roots, mult = orbits._roots_route(spec, n)
         assert len(via_roots) == spec.degree**n
         via_backward = ring_points(spec, n)
         # backward walks the repelling set only; every point must sit on a root
@@ -63,7 +65,8 @@ def test_methods_agree_point_for_point():
         assert len(set(idx)) == len(via_backward)
         # the repelling roots are exactly the backward points, and the
         # non-repelling remainder is the attracting fixed point alone
-        repelling = np.abs(1.0 + rootfind.fn_shift(spec, via_roots, n)[1]) > 1.0
+        assert np.array_equal(mult, 1.0 + rootfind.fn_shift(spec, via_roots, n)[1])
+        repelling = np.abs(mult) > 1.0
         assert np.count_nonzero(repelling) == len(via_backward)
         assert np.count_nonzero(~repelling) == 1
 
@@ -213,7 +216,8 @@ def test_both_checks_every_root(square, monkeypatch, drop, error):
     # 'both' records nothing unless Aberth's repelling roots match the
     # tree's ring points and the rest match the non-repelling sidecar
     roots_route = orbits._roots_route
-    monkeypatch.setattr(orbits, "_roots_route", lambda spec, n: roots_route(spec, n)[drop])
+    monkeypatch.setattr(orbits, "_roots_route",
+                        lambda spec, n: tuple(col[drop] for col in roots_route(spec, n)))
     db = orbits.OrbitDatabase.for_map(square)
     with pytest.raises(error, match="at n = 1"):
         orbits.enumerate_primitive(square, 3, db, method="both")
@@ -256,6 +260,81 @@ def test_name_cycles_maps_duplicates_and_rotations_to_their_cycle(basilica, basi
     cycle, reps = orbits._name_cycles(basilica, points[order], 7)
     assert reps.size == least.size
     assert np.abs(reps[cycle] - least[origin[order]]).max() < 1e-14
+
+
+# ---- point sets ----------------------------------------------------------------
+
+def scattered(seed, size):
+    """Points with moduli from 1e-3 to 1e12, a third of them with partners
+    1e-10 away, and a few nan and inf entries."""
+    rng = np.random.default_rng(seed)
+    pts = 10.0 ** rng.uniform(-3, 12, size) * np.exp(2j * np.pi * rng.uniform(size=size))
+    partners = pts[: size // 3] + 1e-10 * np.exp(2j * np.pi * rng.uniform(size=size // 3))
+    pts = np.concatenate([pts, partners, [np.nan, complex(np.inf, 0.0), complex(1.0, -np.inf)]])
+    return pts[rng.permutation(pts.size)]
+
+
+def finite_tree(pts):
+    keep = np.flatnonzero(np.isfinite(pts))
+    return keep, cKDTree(np.c_[pts[keep].real, pts[keep].imag])
+
+
+# sizes on both sides of orbits.SMALL_PAIRS: all distances, and the grid
+SIZES = st.sampled_from([12, 300])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), SIZES, st.sampled_from([1e-9, 1e-6, 1.0, 1e6]))
+def test_close_pairs_match_kdtree(seed, size, r):
+    pts = scattered(seed, size)
+    i, j = orbits._close_pairs(pts, r)
+    keep, tree = finite_tree(pts)
+    want = keep[tree.query_pairs(r, output_type="ndarray")]
+    assert np.all(i < j)
+    assert sorted(zip(i.tolist(), j.tolist())) == sorted(map(tuple, np.sort(want, axis=1).tolist()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), SIZES, st.sampled_from([np.inf, 1e-9, 1.0]))
+def test_nearest_matches_kdtree(seed, size, bound):
+    nodes = scattered(seed, size)
+    queries = np.concatenate([scattered(seed + 1, size // 3), nodes[: size // 6] + 1e-10])
+    idx, dist = orbits._nearest(queries, nodes, bound=bound)
+    keep, tree = finite_tree(nodes)
+    fq = np.isfinite(queries)
+    want = np.full(queries.size, np.inf)
+    want[fq] = tree.query(np.c_[queries[fq].real, queries[fq].imag])[0]
+    want[want > bound] = np.inf
+    np.testing.assert_allclose(dist, want, rtol=1e-15)
+    found = idx >= 0
+    assert np.array_equal(found, np.isfinite(want))
+    np.testing.assert_allclose(np.abs(queries[found] - nodes[idx[found]]), want[found], rtol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), SIZES)
+def test_nearest_other_point_matches_kdtree(seed, size):
+    # a = b with the self-match excluded, as the census audit asks it
+    pts = scattered(seed, size)
+    idx, dist = orbits._nearest(pts, pts, skip=np.arange(pts.size))
+    keep, tree = finite_tree(pts)
+    want = np.full(pts.size, np.inf)
+    want[keep] = tree.query(np.c_[pts[keep].real, pts[keep].imag], k=2)[0][:, 1]
+    np.testing.assert_allclose(dist[keep], want[keep], rtol=1e-15)
+    assert np.all(idx[keep] != keep) and np.all(idx[~np.isfinite(pts)] == -1)
+
+
+def test_dedup_keeps_the_first_of_each_cluster():
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=200) + 1j * rng.normal(size=200)
+    order = rng.permutation(600)
+    points = np.concatenate([base, base + 3e-10, base - 4e-10j])[order]
+    kept = orbits._dedup(points)
+    # the three points of a cluster lie within the pairing tolerance of
+    # each other: its first point alone stays, in order of real part
+    first = np.unique(np.tile(np.arange(200), 3)[order], return_index=True)[1]
+    assert sorted(kept) == sorted(first)
+    assert np.array_equal(np.lexsort((points[kept].imag, points[kept].real)), np.arange(kept.size))
 
 
 def test_level_cycles_names_only_cycles_below_the_bound(basilica):

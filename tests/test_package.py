@@ -1,6 +1,9 @@
 """The package's public surface."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import orbitctl
@@ -34,6 +37,16 @@ def test_every_public_function_has_a_caller_in_the_package():
         )
     unused = {f"{module}.{name}" for name, module in defined.items() if name not in used}
     assert sorted(unused - REFERENCES) == []
+
+
+def test_cli_import_loads_no_scipy():
+    # a cold start pays for every module the CLI imports; scipy serves the
+    # tests only, as the reference for the package's own solvers
+    code = "import sys, orbitctl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(orbitctl.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 def test_module_imports_are_acyclic():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from orbitctl import thermo
 from orbitctl.errors import (
@@ -210,6 +211,41 @@ def test_bracketed_root_contract():
     # residual stays at 1
     with pytest.raises(NonConvergenceError, match="jump residual"):
         thermo.bracketed_root(lambda t: 1.0 if t < 0.5 else -1.0, (0.0, 1.0), 1e-14, 1e-10, "jump")
+
+
+@pytest.mark.parametrize(
+    "fn, bracket",
+    [
+        (lambda t: t * t - 2.0, (0.0, 2.0)),
+        (lambda t: 1.0 if t < 0.5 else -1.0, (0.0, 1.0)),  # the contract's jump
+        (lambda t: math.exp(t) - 3.0, (-5.0, 5.0)),
+        (lambda t: t**9 - 1e-3, (0.0, 4.0)),
+        (lambda t: math.tanh(t - 0.3) ** 3, (-1.0, 2.0)),  # runs out of steps
+    ],
+)
+def test_brent_evaluates_where_scipy_brentq_does(fn, bracket):
+    def traced(points):
+        def probe(t):
+            points.append(t)
+            return fn(t)
+        return probe
+
+    ours, theirs = [], []
+    lo, hi = bracket
+    probe = traced(ours)
+    root = thermo._brent(probe, lo, hi, probe(lo), probe(hi), 1e-14)
+    want, info = brentq(traced(theirs), lo, hi, xtol=1e-14, rtol=1e-14, full_output=True, disp=False)
+    assert ours == theirs
+    assert root == (want if info.converged else None)
+
+
+def test_bracketed_root_counts_the_points_brentq_takes():
+    points = []
+    root, _, calls = thermo.bracketed_root(
+        lambda t: t * t - 2.0, (0.0, 2.0), 1e-14, 1e-10, "sqrt 2"
+    )
+    want = brentq(lambda t: points.append(t) or t * t - 2.0, 0.0, 2.0, xtol=1e-14, rtol=1e-14)
+    assert root == want and calls == len(set(points))
 
 
 def test_bowen_bracket_error(basilica_db):
