@@ -277,15 +277,18 @@ def _nearest(q: np.ndarray, nodes: np.ndarray, skip: np.ndarray | None = None, b
     dist = np.full(q.size, np.inf)
     fq = np.flatnonzero(np.isfinite(q))
     if fq.size and np.isfinite(nodes).any():
-        search = _nearest_by_matrix if fq.size * nodes.size <= SMALL_PAIRS else _nearest_on_grid
         bound = np.broadcast_to(bound, q.shape)[fq]
-        found, d = search(q[fq], nodes, None if skip is None else skip[fq], bound)
+        skip = None if skip is None else skip[fq]
+        if fq.size * nodes.size <= SMALL_PAIRS:
+            found, d = _nearest_by_matrix(q[fq], nodes, skip)
+        else:
+            found, d = _nearest_on_grid(q[fq], nodes, skip, bound)
         idx[fq], dist[fq] = found, np.where(d > bound, np.inf, d)
     idx[np.isinf(dist)] = -1
     return idx, dist
 
 
-def _nearest_by_matrix(z: np.ndarray, nodes: np.ndarray, skip, bound):
+def _nearest_by_matrix(z: np.ndarray, nodes: np.ndarray, skip):
     """_nearest for finite queries z by every query-node distance."""
     d = np.abs(z[:, None] - nodes)
     d[np.isnan(d)] = np.inf
@@ -297,21 +300,22 @@ def _nearest_by_matrix(z: np.ndarray, nodes: np.ndarray, skip, bound):
 
 def _nearest_on_grid(z: np.ndarray, nodes: np.ndarray, skip, bound):
     """_nearest for finite queries z on a _Grid of the nodes.  The search
-    around a query covers the distance to the nodes next to it along the
-    curve, or its bound if less."""
+    around a query covers its bound, or if it has none, the distance to
+    the nodes next to it along the curve."""
     grid = _Grid(nodes, z)
     rows = np.argsort(grid.query_keys)  # queries in key order search the sorted keys in order
     key = grid.query_keys[rows]
-    found, dist = np.empty(z.size, dtype=np.int64), np.empty(z.size)
-    # a first bound: the nearest of the nodes next to the query along the curve
-    at = np.searchsorted(grid.keys, key)[:, None] + np.arange(-1, 1 + (skip is not None))
+    found, dist = np.full(z.size, -1), np.full(z.size, np.inf)
+    # a query without a bound takes one from the nodes next to it along the curve
+    free = rows[np.isinf(bound[rows])]
+    at = np.searchsorted(grid.keys, grid.query_keys[free])[:, None] + np.arange(-1, 1 + (skip is not None))
     near = grid.order[np.clip(at, 0, grid.keys.size - 1)]
-    d = np.abs(z[rows, None] - nodes[near])
+    d = np.abs(z[free, None] - nodes[near])
     if skip is not None:
-        d[near == skip[rows, None]] = np.inf
+        d[near == skip[free, None]] = np.inf
     best = d.argmin(axis=1)
-    found[rows], dist[rows] = near[np.arange(rows.size), best], d[np.arange(rows.size), best]
-    # the exact nearest within that bound, where it is above 0
+    found[free], dist[free] = near[np.arange(free.size), best], d[np.arange(free.size), best]
+    # the exact nearest within the bound, where it is above 0
     open_ = dist[rows] > 0
     rows = rows[open_]
     i, p = _expand(*grid.runs(key[open_], np.minimum(dist[rows], bound[rows])))
