@@ -758,14 +758,19 @@ def _name_cycles(map_spec: RationalMapSpec, z: np.ndarray, k: int):
     # least points that tie in roundoff can name one cycle twice: keep the
     # least of the names each name's orbit passes (nan where it meets none)
     rep_ring = _forward_orbit(map_spec, reps, k).ravel()
-    bound = np.append(1e-8 * (1.0 + np.abs(rep_ring)), np.full(least.size, np.inf))
-    near = _nearest(np.append(rep_ring, least), reps, bound=bound)[0]
-    # a ring point with no name within its bound gets -1, which picks the nan
-    best = _least_first(np.append(reps, np.nan)[near[: rep_ring.size].reshape(k, reps.size)])[0]
+    tol = 1e-8 * (1.0 + np.abs(rep_ring))
+    # only a ring point with a name within tol in real part can meet one
+    x = np.sort(reps.real)
+    ask = np.flatnonzero(np.searchsorted(x, rep_ring.real - tol) < np.searchsorted(x, rep_ring.real + tol, "right"))
+    near = _nearest(np.append(rep_ring[ask], least), reps, bound=np.append(tol[ask], np.full(least.size, np.inf)))[0]
+    # a ring point with no name within tol keeps -1, which picks the nan
+    ring = np.full(rep_ring.size, -1)
+    ring[ask] = near[: ask.size]
+    best = _least_first(np.append(reps, np.nan)[ring.reshape(k, reps.size)])[0]
     heads, slot = np.unique(best, return_inverse=True)
     # each point is named by the name nearest its least point: the name its
     # least point was merged into can polish onto a cycle a few 1e-9 away
-    return slot[near[rep_ring.size :]], heads
+    return slot[near[ask.size :]], heads
 
 
 def _level_cycles(map_spec: RationalMapSpec, levels, parents, k: int, log_bound: float = math.inf):
