@@ -340,6 +340,18 @@ def _dedup(points: np.ndarray, tol: float = PAIR_TOL) -> np.ndarray:
     return kept[np.lexsort((points[kept].imag, points[kept].real))]
 
 
+def _gaps(pts: np.ndarray) -> np.ndarray:
+    """Each point's distance to the nearest other point over 1 + |z|, exact
+    for the least of them and for every one below STEP_TOL; inf where the
+    nearest lies beyond both.  Neighbours in real part bound the least gap,
+    and the search goes to twice that bound, so rounding cannot lose it."""
+    scale = 1.0 + np.abs(pts)
+    by_real = np.argsort(pts.real)
+    least = (np.abs(np.diff(pts[by_real])) / scale[by_real][1:]).min(initial=np.inf)
+    bound = 2.0 * max(least, STEP_TOL) * scale.max()
+    return _nearest(pts, pts, skip=np.arange(pts.size), bound=bound)[1] / scale
+
+
 def _match_counts(a: np.ndarray, b: np.ndarray, tol: float = PAIR_TOL) -> int:
     """Number of points of a within tol of a point of b."""
     return int(np.count_nonzero(_nearest(a, b, bound=tol)[1] <= tol))
@@ -1169,14 +1181,7 @@ def verify_census(map_spec: RationalMapSpec, db: OrbitDatabase) -> dict[str, flo
         d_theta = np.abs((ring_theta - theta + math.pi) % TWO_PI - math.pi)
         check(n, "multiplier", ~(d_abs <= 1e-12) | ~(d_theta <= 1e-12),
               "stored multipliers differ from their ring's by more than 1e-12")
-        pts = ring.ravel()
-        scale = 1.0 + np.abs(pts)
-        # neighbours in real part bound the least gap; points whose nearest
-        # ring point lies beyond it, and beyond the test's radius, get inf
-        by_real = np.argsort(pts.real)
-        least = (np.abs(np.diff(pts[by_real])) / scale[by_real][1:]).min(initial=np.inf)
-        bound = max(least, STEP_TOL) * scale.max()
-        gap = _nearest(pts, pts, skip=np.arange(pts.size), bound=bound)[1] / scale
+        gap = _gaps(ring.ravel())
         check(n, "distinct cycles", gap < STEP_TOL,
               f"ring points lie within {STEP_TOL:.0e} (1 + |z|) of another ring point")
         worst = np.maximum(worst, [step.max(), d_abs.max(), d_theta.max()])

@@ -324,6 +324,25 @@ def test_nearest_other_point_matches_kdtree(seed, size):
     assert np.all(idx[keep] != keep) and np.all(idx[~np.isfinite(pts)] == -1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40))
+def test_gaps_find_the_least_gap_and_every_one_below_the_test(seed, size):
+    # the audit's per-point gap: the least one exact, so the closest pair
+    # is never lost, and every gap below STEP_TOL found.  The closest pair
+    # holds the point of largest modulus, where the bound on the least gap
+    # meets that pair's own distance
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.5, 2.0, size) * np.exp(2j * np.pi * rng.uniform(size=size))
+    pts[: size // 4] = pts[size // 4 : 2 * (size // 4)] + 1e-13 * rng.normal(size=size // 4)
+    top = pts[np.argmax(np.abs(pts))]
+    pts = np.append(pts, top + 1e-7 * np.exp(2j * np.pi * rng.uniform()))
+    gaps = orbits._gaps(pts)
+    want = cKDTree(np.c_[pts.real, pts.imag]).query(np.c_[pts.real, pts.imag], k=2)[0][:, 1]
+    want /= 1.0 + np.abs(pts)
+    assert gaps.min() == pytest.approx(want.min(), rel=1e-15, abs=0.0)
+    assert np.array_equal(gaps < orbits.STEP_TOL, want < orbits.STEP_TOL)
+
+
 def test_dedup_keeps_the_first_of_each_cluster():
     rng = np.random.default_rng(3)
     base = rng.normal(size=200) + 1j * rng.normal(size=200)
