@@ -657,11 +657,11 @@ def preimages(map_spec: RationalMapSpec, w) -> np.ndarray:
 
 def _newton_on_f(map_spec: RationalMapSpec, z: np.ndarray, w, steps: int) -> np.ndarray:
     """steps Newton steps on f(z) = w from z; a non-finite step is skipped."""
-    for _ in range(steps):
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(steps):
             f, fp = _map_and_derivative(map_spec, z)
             step = (f - w) / fp
-        z = z - np.where(np.isfinite(step), step, 0.0)
+            z = z - np.where(np.isfinite(step), step, 0.0)
     return z
 
 

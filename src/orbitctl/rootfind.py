@@ -39,14 +39,14 @@ def fn_shift(map_spec: RationalMapSpec, z: np.ndarray, n: int):
     w = np.array(z, dtype=complex)
     deriv = np.ones_like(w)
     bad = np.zeros(w.shape, dtype=bool)
-    for _ in range(n):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(n):
             w, fp = _map_and_derivative(map_spec, w)
             deriv *= fp
             bad |= ~(np.abs(w) <= _BIG)  # also catches inf and nan
-        if bad.any():
-            w[bad] = 0.0
-            deriv[bad] = 1.0
+            if bad.any():
+                w[bad] = 0.0
+                deriv[bad] = 1.0
     return w - z, deriv - 1.0, bad
 
 

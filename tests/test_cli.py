@@ -325,6 +325,34 @@ def test_decay_csv(capsys, tmp_path, basilica_file):
     assert all(float(r[4]) <= 1.0 + 1e-9 for r in table[1:])
 
 
+@pytest.mark.parametrize("xi", ["700", "1000"])
+def test_decay_overflowing_tilt_exits_3(capsys, basilica_file, xi):
+    code, out, err = run(
+        capsys, "decay", "--map", basilica_file, "--depth", "8", "--pairs", "0,0", "--xi", xi,
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "OverflowGuard"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decay", "--depth", "6", "--pairs", "0,0", "--n-steps", "0"],
+        ["decay", "--depth", "6", "--pairs", "0,0", "--n-steps", "1"],
+        ["decay", "--depth", "6", "--pairs", "0,0", "--n-steps", "2"],
+        ["decay", "--depth", "0", "--pairs", "0,0"],
+        ["dimension", "--route", "transfer", "--depth", "0"],
+    ],
+    ids=["decay-n-steps-0", "decay-n-steps-1", "decay-n-steps-2", "decay-depth-0", "dimension-depth-0"],
+)
+def test_bad_mesh_arguments_exit_2(capsys, basilica_file, argv):
+    code, out, err = run(capsys, *argv, "--map", basilica_file)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
+
+
 # ---- verify -------------------------------------------------------------------
 
 def test_verify_db_roundtrip(capsys, tmp_path, basilica, basilica_file, basilica_db):

@@ -9,9 +9,11 @@ from scipy.spatial import cKDTree
 from orbitctl import maps, thermo, transfer
 from orbitctl.errors import (
     BracketError,
+    ConfigError,
     CriticalValueError,
     NonConvergenceError,
     NormalizationError,
+    OverflowGuard,
 )
 
 LOG2 = math.log(2.0)
@@ -44,7 +46,7 @@ def test_mesh_shapes_and_seed(square, basilica_mesh):
     assert tiny.size == 2
     assert sorted(np.round(tiny.points.real, 9)) == [-1.0, 1.0]
     assert tiny.pre_points.shape == (2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         transfer.build_mesh(square, 0)
     # the basilica mesh grows from the repelling fixed point
     assert basilica_mesh.seed == pytest.approx(PHI, abs=1e-12)
@@ -77,6 +79,60 @@ def test_preimages_reject_critical_value(square):
         transfer._preimages(square, 0.0)
 
 
+@pytest.fixture(scope="module")
+def dense_mesh(ctx):
+    return transfer.build_mesh(ctx.spec("basilica"), 6)
+
+
+def dense_matrix(mesh, weights):
+    """The N x N matrix whose row i holds weights[i, j] at column pre_index[i, j]."""
+    mat = np.zeros((mesh.size, mesh.size), dtype=weights.dtype)
+    for j in range(weights.shape[1]):
+        np.add.at(mat, (np.arange(mesh.size), mesh.pre_index[:, j]), weights[:, j])
+    return mat
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_apply_equals_row_sum_bit_for_bit(d, kind):
+    rng = np.random.default_rng(d)
+    for n in (1, 7, 8, 9, 33, 1000):
+        w = rng.standard_normal((n, d)) * np.exp(rng.uniform(-20, 20, (n, d)))
+        v = rng.standard_normal(n)
+        if kind is complex:
+            w = w * np.exp(1j * rng.uniform(0, 2 * np.pi, (n, d)))
+            v = v + 1j * rng.standard_normal(n)
+        idx = rng.integers(0, n, (n, d))
+        want = np.sum(w * v[idx], axis=1)
+        got = transfer._apply(transfer._columns(w), transfer._columns(idx), v)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_leading_eigendata_matches_dense_spectrum(dense_mesh):
+    assert dense_mesh.size == 64
+    for xi, alpha in ((0.0, 0.0), (-1.2, 0.0), (0.5, 0.3)):
+        mat = dense_matrix(dense_mesh, np.exp(xi * (dense_mesh.pre_r - alpha)))
+        want = math.log(np.abs(np.linalg.eigvals(mat)).max())
+        log_lam, psi = transfer.leading_eigendata(dense_mesh, xi, alpha)
+        assert log_lam == pytest.approx(want, abs=1e-10)
+        assert np.max(np.abs(mat @ psi - math.exp(log_lam) * psi)) < 1e-9
+
+
+def test_decay_probe_matches_dense_powers(dense_mesh):
+    nop = transfer.normalize(dense_mesh, 0.4, 0.2)
+    for b, k in ((5.0, 0), (0.0, 1), (3.0, 2)):
+        phase = np.exp(1j * (b * (dense_mesh.pre_r - 0.2) + k * dense_mesh.pre_theta))
+        mat = dense_matrix(dense_mesh, nop.u_weights * phase)
+        phi = np.ones(dense_mesh.size, dtype=complex)
+        want = []
+        for _ in range(12):
+            phi = mat @ phi
+            want.append(np.abs(phi).max())
+        got = transfer.decay_probe(nop, b, k, n_steps=12).sup_norms
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_leading_eigendata_pure_powers(circle_mesh, cubic):
     for t in (-0.5, 0.0, 0.7):
         log_lam, vec = transfer.leading_eigendata(circle_mesh, t)
@@ -102,6 +158,34 @@ def test_leading_eigendata_matches_orbit_pressure(ctx, basilica_mesh, basilica_d
 def test_leading_eigendata_nonconvergence(basilica_mesh):
     with pytest.raises(NonConvergenceError):
         transfer.leading_eigendata(basilica_mesh, 0.5, 0.3, max_iter=1)
+
+
+def test_leading_eigendata_refuses_overflowing_weights(basilica_mesh):
+    with pytest.raises(OverflowGuard):
+        transfer.leading_eigendata(basilica_mesh, 1000.0)
+
+
+def test_leading_eigendata_refuses_infinite_root(basilica_mesh):
+    # the largest weight stays finite, but its image under L overflows
+    alpha = float(basilica_mesh.pre_r.max()) - 709.7
+    with pytest.raises(NonConvergenceError):
+        transfer.leading_eigendata(basilica_mesh, 1.0, alpha)
+
+
+def test_normalize_refuses_nan_residual(monkeypatch, circle_mesh):
+    monkeypatch.setattr(
+        transfer, "leading_eigendata", lambda mesh, xi, alpha: (math.nan, np.ones(mesh.size))
+    )
+    with pytest.raises(NormalizationError):
+        transfer.normalize(circle_mesh, 0.0, LOG2)
+
+
+def test_decay_probe_needs_two_fitted_points(circle_mesh):
+    nop = transfer.normalize(circle_mesh, 0.0, LOG2)
+    assert transfer.decay_probe(nop, 1.0, 1, n_steps=4).n_steps == 4
+    for n_steps in (0, 1, 2, 3):
+        with pytest.raises(ConfigError):
+            transfer.decay_probe(nop, 1.0, 1, n_steps=n_steps)
 
 
 def test_normalize_circle_exact(circle_mesh):
