@@ -165,6 +165,7 @@ def test_leading_eigendata_refuses_overflowing_weights(basilica_mesh):
         transfer.leading_eigendata(basilica_mesh, 1000.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_leading_eigendata_refuses_infinite_root(basilica_mesh):
     # the largest weight stays finite, but its image under L overflows
     alpha = float(basilica_mesh.pre_r.max()) - 709.7
