@@ -330,15 +330,15 @@ def cmd_owcount(args) -> int:
 
 
 def cmd_decay(args) -> int:
-    map_spec = maps.load_map(args.map)
-    mesh = transfer.build_mesh(map_spec, args.depth)
-    normop = transfer.normalize(mesh, args.xi, args.alpha)
     pairs = []
     for chunk in args.pairs.split(";"):
         vals = _parse_floats(chunk)
         if len(vals) != 2:
             raise ConfigError(f"bad frequency pair '{chunk}'; want 'b,k'")
         pairs.append((vals[0], int(vals[1])))
+    map_spec = maps.load_map(args.map)
+    mesh = transfer.build_mesh(map_spec, args.depth)
+    normop = transfer.normalize(mesh, args.xi, args.alpha)
     rows = []
     for b, k in pairs:
         res = transfer.decay_probe(normop, b, k, n_steps=args.n_steps)

@@ -167,8 +167,15 @@ def _map_and_derivative(map_spec: RationalMapSpec, z: np.ndarray):
 
 
 def map_values(map_spec: RationalMapSpec, z: np.ndarray) -> np.ndarray:
-    """Vectorized f(z); poles become nan rather than raising."""
-    return _map_and_derivative(map_spec, np.asarray(z, dtype=complex))[0]
+    """Vectorized f(z); poles become nan rather than raising.  The same
+    arithmetic as _map_and_derivative's f, without f'."""
+    z = np.asarray(z, dtype=complex)
+    pv = _horner(map_spec.numerator, z)
+    if map_spec.denominator == (1,):
+        return pv
+    qv = _horner(map_spec.denominator, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(qv) < POLE_FLOOR, np.nan + 0j, pv / qv)
 
 
 def derivative_values(map_spec: RationalMapSpec, z: np.ndarray) -> np.ndarray:

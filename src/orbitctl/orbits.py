@@ -631,15 +631,41 @@ def census_counts(map_spec: RationalMapSpec, db: OrbitDatabase, n: int) -> tuple
 WALK_LEVEL_CAP = 2**20
 
 
+def _quadratic_roots(map_spec: RationalMapSpec, w: np.ndarray) -> np.ndarray:
+    """Both roots of a z^2 + b z + c = P - w Q = 0 for a map of degree 2,
+    for every w at once, shape (N, 2).
+
+    The quadratic formula without cancellation: q = -(b + s sqrt(b^2 - 4ac))/2
+    with the sign s that makes Re(conj(b) s sqrt(...)) >= 0, so |q| >= |b|/2,
+    and the roots q/a and c/q.  q = 0 only where b = 0 = b^2 - 4ac, which is
+    the double root 0 when a != 0.  A coefficient that does not depend on w
+    stays a scalar.  Where a vanishes, a root lies at infinity and the row
+    comes back as nan, as the companion matrices' rows do for d > 2.
+    """
+    num, den = (cs + (0j,) * (3 - len(cs)) for cs in (map_spec.numerator, map_spec.denominator))
+    c, b, a = (num[j] - w * den[j] if den[j] else num[j] for j in range(3))
+    r = np.sqrt(b * b - 4.0 * a * c)
+    np.negative(r, out=r, where=(np.conj(b) * r).real < 0.0)
+    q = -0.5 * (b + r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.stack([q / a, c / q], axis=-1)
+    z[q == 0.0, 1] = 0.0
+    z[~(np.abs(a) > DERIV_FLOOR * (1.0 + np.abs(w)))] = np.nan
+    return z
+
+
 def preimages(map_spec: RationalMapSpec, w) -> np.ndarray:
     """All d solutions of f(z) = w for every w at once, shape (N, d).
 
-    The roots of P - w Q are the eigenvalues of a stack of companion
-    matrices; two vectorized Newton steps on f(z) = w polish them.  A
-    preimage at infinity (possible only when deg Q = d) comes back as nan.
+    For d = 2 the roots of P - w Q come in closed form (_quadratic_roots);
+    for d > 2 they are the eigenvalues of a stack of companion matrices.
+    Two vectorized Newton steps on f(z) = w polish them.  A preimage at
+    infinity (possible only when deg Q = d) comes back as nan.
     """
     w = np.asarray(w, dtype=complex).ravel()
     d = map_spec.degree
+    if d == 2:
+        return _newton_on_f(map_spec, _quadratic_roots(map_spec, w), w[:, None], 2)
     num = np.zeros(d + 1, dtype=complex)
     num[: len(map_spec.numerator)] = map_spec.numerator
     den = np.zeros(d + 1, dtype=complex)
@@ -706,10 +732,11 @@ def _pull_back(map_spec: RationalMapSpec, levels, parents, k: int, idx: np.ndarr
     """Apply to each depth-k node the inverse branches on its own path.
 
     The path from the seed to levels[k][idx] picks one preimage per depth;
-    pulling the node itself back the same way (at depth j, Newton on
-    f(u) = q started from the path's depth-j node) lands next to the
-    period-k point of its cylinder, where Newton on f^k(z) = z converges
-    even when it cannot from the node.
+    pulling the node itself back the same way lands next to the period-k
+    point of its cylinder, where Newton on f^k(z) = z converges even when
+    it cannot from the node.  At depth j the branch is the root of f(u) = q
+    nearest the path's depth-j node: exact for d = 2 (_quadratic_roots),
+    four Newton steps from that node for d > 2.
     """
     path = []
     node = idx
@@ -718,7 +745,11 @@ def _pull_back(map_spec: RationalMapSpec, levels, parents, k: int, idx: np.ndarr
         node = parents[j][node]
     q = levels[k][idx]
     for ref in reversed(path):
-        q = _newton_on_f(map_spec, ref, q, 4)
+        if map_spec.degree == 2:
+            u = _quadratic_roots(map_spec, q)
+            q = np.where(np.abs(u[:, 1] - ref) < np.abs(u[:, 0] - ref), u[:, 1], u[:, 0])
+        else:
+            q = _newton_on_f(map_spec, ref, q, 4)
     return q
 
 

@@ -143,29 +143,31 @@ def leading_eigendata(
     OverflowGuard, and a bound that is not positive and finite raises
     NonConvergenceError.
     """
-    with np.errstate(over="ignore"):
+    # weights that under- or overflow surface as the two errors below, not
+    # as numpy warnings ahead of the error record
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         weights = np.exp(xi * (mesh.pre_r - alpha))
-    if not np.isfinite(weights).all():
-        raise OverflowGuard(
-            f"operator weights e^(xi (r - alpha)) overflow at xi = {xi:g}, alpha = {alpha:g}"
-        )
-    weights = _columns(weights)
-    index = _columns(mesh.pre_index)
-    psi = np.ones(mesh.size, dtype=float)
-    lam = None
-    for _ in range(max_iter):
-        nxt = _apply(weights, index, psi)
-        ratios = nxt / psi
-        lo, hi = float(ratios.min()), float(ratios.max())
-        if not 0.0 < hi < np.inf:
-            raise NonConvergenceError(
-                f"power iteration reached the Collatz-Wielandt upper bound {hi}"
+        if not np.isfinite(weights).all():
+            raise OverflowGuard(
+                f"operator weights e^(xi (r - alpha)) overflow at xi = {xi:g}, alpha = {alpha:g}"
             )
-        if hi - lo <= 1e-12 * hi:
-            lam = 0.5 * (lo + hi)
-            psi = nxt
-            break
-        psi = nxt / nxt.max()
+        weights = _columns(weights)
+        index = _columns(mesh.pre_index)
+        psi = np.ones(mesh.size, dtype=float)
+        lam = None
+        for _ in range(max_iter):
+            nxt = _apply(weights, index, psi)
+            ratios = nxt / psi
+            lo, hi = float(ratios.min()), float(ratios.max())
+            if not 0.0 < hi < np.inf:
+                raise NonConvergenceError(
+                    f"power iteration reached the Collatz-Wielandt upper bound {hi}"
+                )
+            if hi - lo <= 1e-12 * hi:
+                lam = 0.5 * (lo + hi)
+                psi = nxt
+                break
+            psi = nxt / nxt.max()
     if lam is None:
         raise NonConvergenceError(
             f"power iteration did not close the Collatz-Wielandt gap in {max_iter} steps"

@@ -5,10 +5,13 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from orbitctl import cli, orbits
+from orbitctl import cli, orbits, transfer
 from orbitctl.errors import ConfigError
 
 LOG2 = math.log(2.0)
@@ -333,6 +336,34 @@ def test_decay_overflowing_tilt_exits_3(capsys, basilica_file, xi):
     assert code == 3
     assert out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == "OverflowGuard"
+
+
+@pytest.mark.parametrize("xi", ["-1000", "604"])
+def test_decay_failure_prints_only_its_record(basilica_file, xi):
+    # weights that underflow to 0 (0/0 in the Collatz-Wielandt ratios) or
+    # whose image overflows (in the operator's sum) raise numpy warnings
+    # inside the power iteration; a fresh interpreter shows what a user sees
+    src = str(Path(orbits.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-m", "orbitctl.cli", "decay", "--map", basilica_file, "--depth", "8",
+         "--pairs", "0,0", "--xi", xi],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert len(out.stderr.splitlines()) == 1
+    assert json.loads(out.stderr)["error"] == "NonConvergenceError"
+
+
+def test_decay_parses_pairs_before_building_the_mesh(capsys, basilica_file, monkeypatch):
+    def no_mesh(*args):
+        raise AssertionError("decay built its mesh before reading --pairs")
+
+    monkeypatch.setattr(transfer, "build_mesh", no_mesh)
+    code, out, err = run(capsys, "decay", "--map", basilica_file, "--depth", "16", "--pairs", "1")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ConfigError"
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,10 @@ def test_vector_evaluation_matches_scalar(basilica):
         for i, z in enumerate(zs):
             assert vals[i] == pytest.approx(maps.evaluate(spec, complex(z)))
             assert ders[i] == pytest.approx(maps.derivative(spec, complex(z)))
+        # f alone is the kernel's f bit for bit, nan at the pole -1/0.3 included
+        at_pole = np.append(zs, -1.0 / 0.3)
+        assert maps.map_values(spec, at_pole).tobytes() == maps._map_and_derivative(spec, at_pole)[0].tobytes()
+    assert np.isnan(maps.map_values(rational, at_pole)[-1])
 
 
 # the census reads each cycle's multiplier off its ring (orbits._ring_orbits),
