@@ -15,6 +15,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 
@@ -157,9 +158,27 @@ def write_csv(header: list[str], rows: list[list], out: str | None):
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad numeric list '{text}': {exc}") from None
+    if any(math.isnan(v) for v in vals):
+        raise ConfigError(f"bad numeric list '{text}': nan")
+    return vals
+
+
+def _parse_interval(text: str) -> tuple[float, float]:
+    vals = _parse_floats(text)
+    if len(vals) != 2 or not -math.inf < vals[0] < vals[1] < math.inf:
+        raise ConfigError(f"--interval needs two finite numbers a < b, got '{text}'")
+    return vals[0], vals[1]
+
+
+def _check_counts(args):
+    """Options that count periods, levels or harmonics must be at least 1."""
+    for name in ("n", "n_min", "n_max", "profile_n", "k_max"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
 def _resolve_alpha(args, db) -> float:
@@ -193,8 +212,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_pressure(args) -> int:
     map_spec = maps.load_map(args.map)
-    db = load_or_build_db(map_spec, args.n, _cache_dir(args.cache_dir), budget=args.budget)
     t_values = _parse_floats(args.t_values)
+    db = load_or_build_db(map_spec, args.n, _cache_dir(args.cache_dir), budget=args.budget)
     curve = thermo.pressure_curve(db, args.n, t_values, alpha=args.alpha, variant=args.variant)
     rows = [
         [float(t), float(q), float(q1), float(q2), curve.n_used]
@@ -254,22 +273,18 @@ def cmd_dimension(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.length_power is None and args.interval is None:
+        raise ConfigError("pass --interval a,b or a shrinking --length-power")
+    interval = None if args.length_power is not None else _parse_interval(args.interval)
     map_spec = maps.load_map(args.map)
     db = load_or_build_db(map_spec, args.n_max, _cache_dir(args.cache_dir), budget=args.budget)
     alpha = _resolve_alpha(args, db)
     prof = thermo.thermo_profile(db, alpha, args.profile_n)
-    if args.length_power is None and args.interval is None:
-        raise ConfigError("pass --interval a,b or a shrinking --length-power")
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         if args.length_power is not None:
             length = args.length_scale * n ** (-args.length_power)
             interval = (args.center - length / 2.0, args.center + length / 2.0)
-        else:
-            vals = _parse_floats(args.interval)
-            if len(vals) != 2:
-                raise ConfigError("--interval needs two numbers a,b")
-            interval = (vals[0], vals[1])
         query = counting.CountQuery(
             n=n, alpha=alpha, interval=interval,
             arc_center=args.arc_center, arc_width=args.arc_width,
@@ -294,15 +309,11 @@ def cmd_count(args) -> int:
 
 
 def cmd_weyl(args) -> int:
+    interval = None if args.interval is None else _parse_interval(args.interval)
     map_spec = maps.load_map(args.map)
     db = load_or_build_db(map_spec, args.n, _cache_dir(args.cache_dir), budget=args.budget)
-    interval = None
     alpha = None
-    if args.interval is not None:
-        vals = _parse_floats(args.interval)
-        if len(vals) != 2:
-            raise ConfigError("--interval needs two numbers a,b")
-        interval = (vals[0], vals[1])
+    if interval is not None:
         if args.profile_n is None:
             args.profile_n = args.n
         alpha = _resolve_alpha(args, db)
@@ -316,13 +327,13 @@ def cmd_weyl(args) -> int:
 
 
 def cmd_owcount(args) -> int:
+    thresholds = _parse_floats(args.thresholds)
     map_spec = maps.load_map(args.map)
     db = load_or_build_db(map_spec, args.n_max, _cache_dir(args.cache_dir), budget=args.budget)
     if args.delta is None:
         delta = thermo.bowen_dimension(db, args.n_max).value
     else:
         delta = args.delta
-    thresholds = _parse_floats(args.thresholds)
     report = counting.li_table(db, thresholds, delta, map_spec=map_spec)
     rows = [[r.threshold, r.count, r.li_value, r.ratio] for r in report.rows]
     write_csv(["threshold", "count", "li", "ratio"], rows, args.out)
@@ -548,6 +559,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _apply_config(args)
+        _check_counts(args)
         return args.func(args)
     except Exception as exc:  # anything but an OrbitctlError exits 1
         code = exc.exit_code if isinstance(exc, OrbitctlError) else 1

@@ -3,12 +3,12 @@
 Two independent routes produce the fixed points of f^n:
 
 * backward: the preimage tree of a repelling fixed point, walked once for
-  any rational map.  Newton on f^k(z) = z from the depth-k nodes lands on
-  the primitive repelling k-cycles, and the tree emits them as cycles: one
-  ring per cycle, its points polished on f^k in cycle order from the least
-  point, from which the census reads each orbit's multiplier and holonomy
-  directly.  Depth k holds d^k nodes.  Every census record comes off
-  these rings.
+  any rational map.  Newton on f^k(z) = z from the depth-k nodes, each
+  pulled back along its own path, lands on the primitive repelling
+  k-cycles, and the tree emits them as cycles: one ring per cycle, its
+  points polished on f^k in cycle order from the least point, from which
+  the census reads each orbit's multiplier and holonomy directly.  Depth k
+  holds d^k nodes.  Every census record comes off these rings.
 * roots: all d^n solutions of f^n(z) = z at once via Aberth-Ehrlich,
   feasible for d^n <= 4096, started from the preimages under f^n of one
   point outside the Julia set.  Finds non-repelling points too.  It records
@@ -631,27 +631,46 @@ def census_counts(map_spec: RationalMapSpec, db: OrbitDatabase, n: int) -> tuple
 WALK_LEVEL_CAP = 2**20
 
 
-def _quadratic_roots(map_spec: RationalMapSpec, w: np.ndarray) -> np.ndarray:
-    """Both roots of a z^2 + b z + c = P - w Q = 0 for a map of degree 2,
-    for every w at once, shape (N, 2).
+def _quadratic(map_spec: RationalMapSpec, w: np.ndarray):
+    """(c, b, a, r) for a z^2 + b z + c = P - w Q, a map of degree 2, for
+    every w at once, with r the square root of b^2 - 4ac whose sign makes
+    Re(conj(b) r) >= 0.
 
-    The quadratic formula without cancellation: q = -(b + s sqrt(b^2 - 4ac))/2
-    with the sign s that makes Re(conj(b) s sqrt(...)) >= 0, so |q| >= |b|/2,
-    and the roots q/a and c/q.  q = 0 only where b = 0 = b^2 - 4ac, which is
-    the double root 0 when a != 0.  A coefficient that does not depend on w
-    stays a scalar.  Where a vanishes, a root lies at infinity and the row
-    comes back as nan, as the companion matrices' rows do for d > 2.
+    The roots come from the quadratic formula without cancellation: with
+    q = -(b + r)/2, so |q| >= |b|/2, they are q/a = (-b - r)/(2a) and
+    c/q = (-b + r)/(2a).  q = 0 only where b = 0 = b^2 - 4ac, which is the
+    double root 0 when a != 0.  A coefficient that does not depend on w
+    stays a scalar.
     """
     num, den = (cs + (0j,) * (3 - len(cs)) for cs in (map_spec.numerator, map_spec.denominator))
     c, b, a = (num[j] - w * den[j] if den[j] else num[j] for j in range(3))
     r = np.sqrt(b * b - 4.0 * a * c)
     np.negative(r, out=r, where=(np.conj(b) * r).real < 0.0)
+    return c, b, a, r
+
+
+def _quadratic_roots(map_spec: RationalMapSpec, w: np.ndarray) -> np.ndarray:
+    """Both roots of P - w Q = 0 for a map of degree 2 (_quadratic), shape
+    (N, 2).  Where a vanishes, a root lies at infinity and the row comes
+    back as nan, as the companion matrices' rows do for d > 2."""
+    c, b, a, r = _quadratic(map_spec, w)
     q = -0.5 * (b + r)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.stack([q / a, c / q], axis=-1)
     z[q == 0.0, 1] = 0.0
     z[~(np.abs(a) > DERIV_FLOOR * (1.0 + np.abs(w)))] = np.nan
     return z
+
+
+def _nearer_quadratic_root(map_spec: RationalMapSpec, w: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The root of P - w Q = 0 nearer ref, for a map of degree 2.  Of the
+    roots q/a and c/q (_quadratic), c/q = (-b + r)/(2a) is the nearer iff
+    Re(conj(b + 2a ref) r) > 0; a tie, the double root included, takes q/a."""
+    c, b, a, r = _quadratic(map_spec, w)
+    q = -0.5 * (b + r)
+    plus = (np.conj(b + 2.0 * a * ref) * r).real > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(plus, c, q) / np.where(plus, q, a)
 
 
 def preimages(map_spec: RationalMapSpec, w) -> np.ndarray:
@@ -728,47 +747,27 @@ def _forward_orbit(map_spec: RationalMapSpec, z: np.ndarray, k: int) -> np.ndarr
     return np.array(ring)
 
 
-def _pull_back(map_spec: RationalMapSpec, levels, parents, k: int, idx: np.ndarray) -> np.ndarray:
-    """Apply to each depth-k node the inverse branches on its own path.
+def _pull_back(map_spec: RationalMapSpec, levels, parents, k: int) -> np.ndarray:
+    """Apply to every depth-k node the inverse branches on its own path.
 
-    The path from the seed to levels[k][idx] picks one preimage per depth;
+    The path from the seed to a depth-k node picks one preimage per depth;
     pulling the node itself back the same way lands next to the period-k
-    point of its cylinder, where Newton on f^k(z) = z converges even when
-    it cannot from the node.  At depth j the branch is the root of f(u) = q
-    nearest the path's depth-j node: exact for d = 2 (_quadratic_roots),
-    four Newton steps from that node for d > 2.
+    point of its cylinder, from which Newton on f^k(z) = z converges.  At
+    depth j the branch is the root of f(u) = q nearest the path's depth-j
+    node: exact for d = 2 (_nearer_quadratic_root), four Newton steps from
+    that node for d > 2.
     """
-    path = []
-    node = idx
-    for j in range(k, 0, -1):
-        path.append(levels[j][node])
-        node = parents[j][node]
-    q = levels[k][idx]
-    for ref in reversed(path):
+    ancestors = [np.arange(levels[k].size)]
+    for j in range(k, 1, -1):
+        ancestors.append(parents[j][ancestors[-1]])
+    q = levels[k]
+    for j, node in enumerate(reversed(ancestors), 1):
+        ref = levels[j][node]
         if map_spec.degree == 2:
-            u = _quadratic_roots(map_spec, q)
-            q = np.where(np.abs(u[:, 1] - ref) < np.abs(u[:, 0] - ref), u[:, 1], u[:, 0])
+            q = _nearer_quadratic_root(map_spec, q, ref)
         else:
             q = _newton_on_f(map_spec, ref, q, 4)
     return q
-
-
-def _newton_cycles(map_spec: RationalMapSpec, starts: np.ndarray, k: int, search: bool = False):
-    """Newton on f^k(z) = z from each start; search as in newton_polish.
-
-    Returns (z, multiplier, ok): ok marks the limits that close up
-    (_newton_step), have least period k, and repel.
-    """
-    z = newton_polish(map_spec, starts, k, search=search)
-    step, mult = _newton_step(map_spec, z, k)
-    ok = (step < STEP_TOL) & (np.abs(mult) > 1.0)
-    closed = np.nonzero(ok)[0]
-    w = start = z[closed]
-    for m in range(1, max(divisors(k)[:-1], default=0) + 1):
-        w = map_values(map_spec, w)
-        if k % m == 0:
-            ok[closed] &= np.abs(w - start) > PAIR_TOL * (1.0 + np.abs(start))
-    return z, mult, ok
 
 
 def _newton_step(map_spec: RationalMapSpec, z: np.ndarray, k: int):
@@ -818,19 +817,30 @@ def _name_cycles(map_spec: RationalMapSpec, z: np.ndarray, k: int):
 
 def _level_cycles(map_spec: RationalMapSpec, levels, parents, k: int, log_bound: float = math.inf):
     """Primitive repelling period-k cycles with log|multiplier| below
-    log_bound, from the depth-k nodes: Newton searches from each node and
-    polishes from the pulled-back node where that fails.  Returns (hit,
-    reps, multipliers): one entry of reps and multipliers per cycle found,
-    and hit[i] the index of the cycle that node i led to, or -1.
+    log_bound, from the depth-k nodes: each node is pulled back along its
+    own path (_pull_back) and Newton polishes once from there.  A limit
+    counts when it closes up (_newton_step), has least period k, repels,
+    and falls below the bound.  Returns (hit, reps, multipliers): one entry
+    of reps and multipliers per cycle found, and hit[i] the index of the
+    cycle that node i led to, or -1.  OrbitMatchingError when a cycle is
+    named that no node leads to, which would leave it without a multiplier.
     """
-    z, mult, ok = _newton_cycles(map_spec, levels[k], k, search=True)
-    lost = np.nonzero(~ok)[0]
-    retry = _pull_back(map_spec, levels, parents, k, lost)
-    z[lost], mult[lost], ok[lost] = _newton_cycles(map_spec, retry, k)
+    z = newton_polish(map_spec, _pull_back(map_spec, levels, parents, k), k)
+    step, mult = _newton_step(map_spec, z, k)
+    ok = (step < STEP_TOL) & (np.abs(mult) > 1.0)
+    closed = np.nonzero(ok)[0]
+    w = start = z[closed]
+    for m in range(1, max(divisors(k)[:-1], default=0) + 1):
+        w = map_values(map_spec, w)
+        if k % m == 0:
+            ok[closed] &= np.abs(w - start) > PAIR_TOL * (1.0 + np.abs(start))
     ok[ok] = np.log(np.abs(mult[ok])) < log_bound
     hit = np.full(z.size, -1, dtype=np.int64)
     hit[ok], reps = _name_cycles(map_spec, z[ok], k)
-    out = np.zeros(reps.size, dtype=complex)
+    unreached = np.count_nonzero(np.bincount(hit[ok], minlength=reps.size) == 0)
+    if unreached:
+        raise OrbitMatchingError(f"{unreached} of the {reps.size} period-{k} cycles named are reached by no node")
+    out = np.empty(reps.size, dtype=complex)
     out[hit[ok]] = mult[ok]
     return hit, reps, out
 
@@ -923,10 +933,10 @@ def walk_multiplier_bounded(map_spec: RationalMapSpec, t: float, slack: float) -
     """Every primitive repelling cycle with |multiplier| < t, by tree search.
 
     A node survives while its accumulated log|(f^k)'| stays within
-    log t + slack; Newton on f^k(z) = z searches from every surviving node
-    (and polishes from the node pulled back along its path where that
-    fails), and only limits that close up with least period k, repel, and
-    fall below t are named.  Completeness rests on the slack covering both
+    log t + slack; every surviving node is pulled back along its own path
+    and Newton on f^k(z) = z polishes once from there (_level_cycles), and
+    only limits that close up with least period k, repel, and fall below t
+    are named.  Completeness rests on the slack covering both
     the dips of partial multiplier sums and the node-to-cycle distortion,
     which census_slack reads off the census and certify_walk checks.
     """

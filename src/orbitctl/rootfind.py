@@ -22,7 +22,7 @@ from .maps import RationalMapSpec, _map_and_derivative
 _BIG = 1e150  # orbit magnitude beyond which the evaluation is abandoned
 
 # Newton steps a polish allows per point on f^n(z) = z; a limit on a cycle
-# with a large multiplier can need more than a handful (a search stops sooner)
+# with a large multiplier can need more than a handful
 NEWTON_ITERS = 20
 
 # Aberth sweeps allowed, and the relative correction at which a point freezes
@@ -50,17 +50,15 @@ def fn_shift(map_spec: RationalMapSpec, z: np.ndarray, n: int):
     return w - z, deriv - 1.0, bad
 
 
-def newton_polish(map_spec: RationalMapSpec, z: np.ndarray, n: int, *, search: bool = False) -> np.ndarray:
+def newton_polish(map_spec: RationalMapSpec, z: np.ndarray, n: int) -> np.ndarray:
     """Newton iteration on f^n(z) - z, point by point.
 
     A point stops once its step is at most 1e-14 (1 + |z|) or its orbit
-    leaves the numeric range, and after NEWTON_ITERS steps.  A search also
-    stops it once a step exceeds half the one before, which no step from an
-    approximate zero (Smale) does.  Callers judge convergence (orbits._newton_step).
+    leaves the numeric range, and after NEWTON_ITERS steps.  Callers judge
+    convergence (orbits._newton_step).
     """
     z = np.array(z, dtype=complex).ravel()
     active = np.arange(z.size)
-    last = np.full(z.size, np.inf)
     for _ in range(NEWTON_ITERS):
         if active.size == 0:
             break
@@ -69,11 +67,7 @@ def newton_polish(map_spec: RationalMapSpec, z: np.ndarray, n: int, *, search: b
             step = f_val / df_val
         step = np.where(bad | ~np.isfinite(step), 0.0, step)
         z[active] -= step
-        size = np.abs(step)
-        done = bad | (size <= 1e-14 * (1.0 + np.abs(z[active])))
-        if search:
-            done |= size > 0.5 * last[active]
-            last[active] = size
+        done = bad | (np.abs(step) <= 1e-14 * (1.0 + np.abs(z[active])))
         active = active[~done]
     return z
 

@@ -34,7 +34,8 @@ def mollifier_cdf(s):
     c = np.clip(s, -1.0, 1.0)
     c2 = c * c
     f = c * (1.0 + c2 * (-5.0 / 3.0 + c2 * (2.0 + c2 * (-10.0 / 7.0 + c2 * (5.0 / 9.0 - c2 / 11.0)))))
-    return (693.0 * f + 256.0) / 512.0
+    # rounding can carry the polynomial an ulp past 1 near s = 1
+    return np.clip((693.0 * f + 256.0) / 512.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -384,6 +384,47 @@ def test_bad_mesh_arguments_exit_2(capsys, basilica_file, argv):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
 
 
+QUERY = ["--n-min", "2", "--n-max", "4", "--profile-n", "4", "--maxent"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pressure", "--n", "0", "--t-values", "1"], "--n must be >= 1"),
+        (["pressure", "--n", "4", "--t-values=nan"], "bad numeric list 'nan'"),
+        (["pressure", "--n", "4", "--t-values=0,nan,1"], "bad numeric list"),
+        (["dimension", "--n", "0"], "--n must be >= 1"),
+        (["profile", "--n", "0", "--maxent"], "--n must be >= 1"),
+        (["count", *QUERY, "--interval=1,0"], "two finite numbers a < b"),
+        (["count", *QUERY, "--interval=nan,1"], "bad numeric list"),
+        (["count", *QUERY, "--interval=-inf,1"], "two finite numbers a < b"),
+        (["count", *QUERY, "--interval=1"], "two finite numbers a < b"),
+        (["count", "--n-min", "0", "--n-max", "4", "--profile-n", "4", "--maxent", "--interval=0,1"],
+         "--n-min must be >= 1"),
+        (["weyl", "--n", "4", "--k-max", "-2"], "--k-max must be >= 1"),
+        (["weyl", "--n", "4", "--k-max", "0"], "--k-max must be >= 1"),
+        (["weyl", "--n", "4", "--interval=1,0", "--maxent"], "two finite numbers a < b"),
+        (["owcount", "--n-max", "4", "--thresholds", "nan"], "bad numeric list"),
+        (["enumerate", "--n-max", "0"], "--n-max must be >= 1"),
+    ],
+    ids=["pressure-n-0", "pressure-t-nan", "pressure-t-list-nan", "dimension-n-0", "profile-n-0",
+         "count-interval-reversed", "count-interval-nan", "count-interval-inf", "count-interval-one",
+         "count-n-min-0", "weyl-k-max-negative", "weyl-k-max-0",
+         "weyl-interval-reversed", "owcount-nan", "enumerate-n-max-0"],
+)
+def test_bad_query_arguments_exit_2(capsys, tmp_path, basilica_file, monkeypatch, argv, message):
+    # refused as parsed, before any census is read or built
+    def no_census(*args, **kwargs):
+        raise AssertionError("a census was built before the arguments were checked")
+
+    monkeypatch.setattr(cli, "load_or_build_db", no_census)
+    code, out, err = run(capsys, *argv, "--map", basilica_file, "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError" and message in record["message"]
+
+
 # ---- verify -------------------------------------------------------------------
 
 def test_verify_db_roundtrip(capsys, tmp_path, basilica, basilica_file, basilica_db):

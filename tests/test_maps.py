@@ -78,8 +78,9 @@ def test_cycle_multiplier_rejects_superattracting(square):
     # 0.0, and the tree's cycle finder does not keep it as repelling
     _, log_abs, theta = orbits._ring_orbits(square, np.array([[0j]]))
     assert (log_abs[0], theta[0]) == (-math.inf, 0.0)
-    _, _, ok = orbits._newton_cycles(square, np.array([0j, 1.0 + 0j]), 1)
-    assert ok.tolist() == [False, True]
+    levels = [np.array([1.0 + 0j]), np.array([0j, 1.0 + 0j])]
+    hit, _, _ = orbits._level_cycles(square, levels, [np.zeros(1, int), np.zeros(2, int)], 1)
+    assert hit.tolist() == [-1, 0]
 
 
 def test_critical_points_square(square):

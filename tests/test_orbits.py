@@ -675,30 +675,94 @@ def test_quadratic_branches_call_no_eigvals(basilica, monkeypatch):
         pre = orbits.preimages(spec, [0.2 + 0.1j, -1.5, 3.0j])
         assert np.abs(maps.map_values(spec, pre) - np.array([0.2 + 0.1j, -1.5, 3.0j])[:, None]).max() < 1e-12
     for k, levels, parents, _ in orbits._tree_levels(basilica, math.inf):
-        pulled = orbits._pull_back(basilica, levels, parents, k, np.arange(levels[k].size))
+        pulled = orbits._pull_back(basilica, levels, parents, k)
         # k inverse branches undo k forward steps
         assert np.abs(orbits._forward_orbit(basilica, pulled, k + 1)[k] - levels[k]).max() < 1e-10
         if k == 6:
             break
 
 
+def _tree_level(map_spec, depth):
+    for k, levels, parents, _ in orbits._tree_levels(map_spec, math.inf):
+        if k == depth:
+            return levels, parents
+
+
+@pytest.mark.parametrize("name", QUADRATICS)
+def test_nearer_quadratic_root_matches_quadratic_roots(name):
+    # a ref placed near one of the two roots picks that root, evaluated to
+    # the rounding of _quadratic_roots' own formulas
+    spec = QUADRATICS[name]
+    rng = np.random.default_rng(11)
+    w = np.r_[rng.standard_normal(500) + 1j * rng.standard_normal(500), 0.2 + 0.1j, -1.5, 3.0j, 1e6 + 1e-3j, 1e-9]
+    both = orbits._quadratic_roots(spec, w)
+    assert np.isfinite(both).all()
+    for pick in (0, 1):
+        ref = both[:, pick] + 0.3 * (both[:, 1 - pick] - both[:, pick]) * np.exp(2j * np.pi * rng.random(w.size))
+        got = orbits._nearer_quadratic_root(spec, w, ref)
+        assert (np.abs(got - both[:, pick]) <= 1e-15 * np.abs(both[:, pick])).all()
+
+
 def test_exact_pull_back_leaves_one_node_rejected(basilica):
-    # depth 13 of the unpruned tree: 4,430 of the 8,192 nodes fail the first
-    # Newton pass.  Pulled back along their paths by exact inverse branches,
-    # all but one polish onto a primitive repelling 13-cycle (with four Newton
-    # steps per depth, 268 did not).  The one left is the node at the seed
-    # fixed point beta itself, which Newton keeps on that 1-cycle.
-    for k, levels, parents, _ in orbits._tree_levels(basilica, math.inf):
-        if k == 13:
-            break
-    _, _, ok = orbits._newton_cycles(basilica, levels[13], 13, search=True)
-    lost = np.flatnonzero(~ok)
-    assert (lost.size, levels[13].size) == (4430, 8192)
-    retry = orbits._pull_back(basilica, levels, parents, 13, lost)
-    z, _, ok = orbits._newton_cycles(basilica, retry, 13)
-    assert np.count_nonzero(~ok) == 1
-    assert levels[13][lost[~ok]] == pytest.approx([PHI], abs=1e-15)
-    assert z[~ok] == pytest.approx([PHI], abs=1e-15)
+    # depth 13 of the unpruned tree: every one of the 8,192 nodes is pulled
+    # back along its path by exact inverse branches, and all but one polish
+    # onto a primitive repelling 13-cycle.  The one left is the node at the
+    # seed fixed point beta itself, which Newton keeps on that 1-cycle.
+    levels, parents = _tree_level(basilica, 13)
+    hit, _, _ = orbits._level_cycles(basilica, levels, parents, 13)
+    lost = hit < 0
+    assert (np.count_nonzero(lost), hit.size) == (1, 8192)
+    assert levels[13][lost] == pytest.approx([PHI], abs=1e-15)
+    z = rootfind.newton_polish(basilica, orbits._pull_back(basilica, levels, parents, 13)[lost], 13)
+    assert z == pytest.approx([PHI], abs=1e-15)
+
+
+def test_level_cycles_polishes_each_node_once(basilica, monkeypatch):
+    # one Newton pass over the pulled-back nodes and _name_cycles' own
+    # polish of the names: a second solve of the nodes would add a call
+    levels, parents = _tree_level(basilica, 9)
+    calls = []
+    polish = orbits.newton_polish
+
+    def counted(map_spec, z, n, **kwargs):
+        calls.append(np.size(z))
+        return polish(map_spec, z, n, **kwargs)
+
+    monkeypatch.setattr(orbits, "newton_polish", counted)
+    hit, _, _ = orbits._level_cycles(basilica, levels, parents, 9)
+    assert len(calls) == 2
+    assert calls[0] == levels[9].size == hit.size
+
+
+def test_walk_newton_work_is_pinned(basilica, monkeypatch):
+    # point-steps of f^k in newton_polish over a small basilica walk: 230,620
+    # when Newton searched from every node and polished again from the
+    # pulled-back nodes it lost, 148,121 with one pass from the pull-back
+    steps = [0]
+    fn_shift = rootfind.fn_shift
+
+    def counted(map_spec, z, n):
+        steps[0] += np.size(z) * n
+        return fn_shift(map_spec, z, n)
+
+    monkeypatch.setattr(rootfind, "fn_shift", counted)
+    walk = orbits.walk_multiplier_bounded(basilica, 300.0, 1.5)
+    assert (walk.nodes, walk.periods.size) == (3278, 216)
+    assert steps[0] == 148_121
+
+
+def test_level_cycles_refuses_a_name_no_node_reaches(basilica, monkeypatch):
+    # a cycle named by no node would be left without a multiplier (log 0)
+    name_cycles = orbits._name_cycles
+
+    def extra_name(map_spec, z, k):
+        slot, heads = name_cycles(map_spec, z, k)
+        return slot, np.append(heads, 5.0 + 5.0j)
+
+    monkeypatch.setattr(orbits, "_name_cycles", extra_name)
+    levels, parents = _tree_level(basilica, 6)
+    with pytest.raises(OrbitMatchingError, match="1 of the 10 period-6 cycles named are reached by no node"):
+        orbits._level_cycles(basilica, levels, parents, 6)
 
 
 def test_walk_square_necklace_sums(square, square_db):

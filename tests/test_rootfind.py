@@ -74,30 +74,8 @@ def test_newton_polish_recovers_perturbed_roots(square):
     exact = np.array([1.0, cmath.exp(2j * cmath.pi / 3), cmath.exp(-2j * cmath.pi / 3)])
     rng = np.random.default_rng(7)
     noisy = exact + 1e-4 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    # the search stop keeps every point that converges quadratically
-    for search in (False, True):
-        polished = rootfind.newton_polish(square, noisy, 2, search=search)
-        assert np.abs(sorted_points(polished) - sorted_points(exact)).max() < 1e-12
-
-
-def test_search_gives_up_on_a_start_that_stops_contracting(square, monkeypatch):
-    # Newton on z^2 - z maps the line Re z = 1/2, which divides the basins
-    # of 0 and 1, to itself: from 1/2 + i the steps never halve
-    calls = []
-    fn_shift = rootfind.fn_shift
-
-    def counted(*args):
-        calls.append(args[2])
-        return fn_shift(*args)
-
-    monkeypatch.setattr(rootfind, "fn_shift", counted)
-    start = np.array([0.5 + 1.0j])
-    searched = rootfind.newton_polish(square, start, 1, search=True)
-    assert len(calls) <= 3
-    assert abs(searched[0].real - 0.5) < 1e-12
-    calls.clear()
-    rootfind.newton_polish(square, start, 1)
-    assert len(calls) == rootfind.NEWTON_ITERS
+    polished = rootfind.newton_polish(square, noisy, 2)
+    assert np.abs(sorted_points(polished) - sorted_points(exact)).max() < 1e-12
 
 
 def test_repulsion_matches_direct_sum():
