@@ -156,29 +156,36 @@ def write_csv(header: list[str], rows: list[list], out: str | None):
         sys.stdout.write(text)
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_floats(text: str, finite: bool = True) -> list[float]:
+    """The numbers of a comma list, each finite (or, unless finite, not nan)."""
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad numeric list '{text}': {exc}") from None
     if any(math.isnan(v) for v in vals):
         raise ConfigError(f"bad numeric list '{text}': nan")
+    if finite and any(math.isinf(v) for v in vals):
+        raise ConfigError(f"bad numeric list '{text}': not finite")
     return vals
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
-    vals = _parse_floats(text)
+    vals = _parse_floats(text, finite=False)
     if len(vals) != 2 or not -math.inf < vals[0] < vals[1] < math.inf:
         raise ConfigError(f"--interval needs two finite numbers a < b, got '{text}'")
     return vals[0], vals[1]
 
 
-def _check_counts(args):
-    """Options that count periods, levels or harmonics must be at least 1."""
+def _check_options(args):
+    """Options that count periods, levels or harmonics must be at least 1,
+    and every number option (--delta, --alpha, --xi, ...) finite."""
     for name in ("n", "n_min", "n_max", "profile_n", "k_max"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
 
 
 def _resolve_alpha(args, db) -> float:
@@ -224,14 +231,13 @@ def cmd_pressure(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    if not (args.maxent or args.alpha):
+        raise ConfigError("pass --alpha (repeatable) or --maxent")
+    alphas = [] if args.maxent else [v for a in args.alpha for v in _parse_floats(a)]
     map_spec = maps.load_map(args.map)
     db = load_or_build_db(map_spec, args.n, _cache_dir(args.cache_dir), budget=args.budget)
     if args.maxent:
         alphas = [thermo.maximal_entropy_alpha(db, args.n)]
-    elif args.alpha:
-        alphas = [v for a in args.alpha for v in _parse_floats(a)]
-    else:
-        raise ConfigError("pass --alpha (repeatable) or --maxent")
     rows = []
     for alpha in alphas:
         prof = thermo.thermo_profile(db, alpha, args.n)
@@ -276,6 +282,8 @@ def cmd_count(args) -> int:
     if args.length_power is None and args.interval is None:
         raise ConfigError("pass --interval a,b or a shrinking --length-power")
     interval = None if args.length_power is not None else _parse_interval(args.interval)
+    if args.length_power is not None and not args.length_scale > 0:
+        raise ConfigError(f"--length-scale must be > 0, got {args.length_scale}")
     map_spec = maps.load_map(args.map)
     db = load_or_build_db(map_spec, args.n_max, _cache_dir(args.cache_dir), budget=args.budget)
     alpha = _resolve_alpha(args, db)
@@ -559,7 +567,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _apply_config(args)
-        _check_counts(args)
+        _check_options(args)
         return args.func(args)
     except Exception as exc:  # anything but an OrbitctlError exits 1
         code = exc.exit_code if isinstance(exc, OrbitctlError) else 1

@@ -8,6 +8,7 @@ into the multiplier's log-modulus and holonomy angle.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
@@ -16,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import ConfigError, PoleError
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,11 +43,15 @@ def _trimmed(coeffs) -> tuple[complex, ...]:
 
 
 def _horner(coeffs: tuple[complex, ...], z):
-    """Evaluate an ascending-coefficient polynomial at z (scalar or array)."""
+    """Evaluate an ascending-coefficient polynomial at z (scalar or array),
+    never returning z itself.  It skips multiplying by a leading 1 and adding
+    a 0, array passes that change no bit but the sign of a zero part."""
     acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc
+    for i, c in enumerate(coeffs[-2::-1]):
+        acc = z if i == 0 and acc == 1 else acc * z
+        if c != 0:
+            acc = acc + c
+    return acc.copy() if acc is z and isinstance(z, np.ndarray) else acc
 
 
 def _derivative_coeffs(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
@@ -115,16 +120,33 @@ class RationalMapSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RationalMapSpec":
-        num = [complex(re, im) for re, im in data["numerator"]]
-        den_raw = data.get("denominator")
-        den = [complex(re, im) for re, im in den_raw] if den_raw else [1.0]
-        return cls(tuple(num), tuple(den))
+        """The map of to_dict's form; ConfigError naming the field when
+        data does not describe a rational map of degree >= 2."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"a map must be an object, got {type(data).__name__}")
+        coeffs = {}
+        for key, default in (("numerator", None), ("denominator", [[1.0, 0.0]])):
+            raw = data.get(key) or default
+            try:
+                coeffs[key] = tuple(complex(re, im) for re, im in raw)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"map field '{key}' must be a list of [re, im] pairs: {exc}") from None
+            if not all(cmath.isfinite(c) for c in coeffs[key]):
+                raise ConfigError(f"map field '{key}' holds a non-finite coefficient")
+        try:
+            return cls(coeffs["numerator"], coeffs["denominator"])
+        except ValueError as exc:
+            raise ConfigError(f"map fields 'numerator' and 'denominator': {exc}") from None
 
 
 def load_map(path) -> RationalMapSpec:
-    """Read a map from a JSON file with 'numerator'/'denominator' keys."""
+    """Read a map from a JSON file with 'numerator'/'denominator' keys;
+    ConfigError when the file is not JSON or not a map."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"map file {path} is not valid JSON: {exc}") from None
     return RationalMapSpec.from_dict(data)
 
 

@@ -793,10 +793,19 @@ def _name_cycles(map_spec: RationalMapSpec, z: np.ndarray, k: int):
     for _ in range(k - 1):
         w = map_values(map_spec, w)
         least = np.where(_precedes(w, least), w, least)
-    # one Newton polish per named point: least points read off the raw
-    # forward orbit drift apart by more than the pairing tolerance
-    reps = newton_polish(map_spec, least[_dedup(least)], k)
-    reps = reps[_dedup(reps)]
+    # one Newton polish per cell of side PAIR_TOL / 2: least points read off
+    # the raw forward orbit drift apart by more than the pairing tolerance
+    _, first, cell = np.unique(np.round(least * 2 / PAIR_TOL), return_index=True, return_inverse=True)
+    names = newton_polish(map_spec, least[first], k)
+    # names within PAIR_TOL (as from cells a cycle straddles) are merged:
+    # the chain of earliest partners ends at the name _dedup would keep
+    root = np.arange(names.size)
+    i, j = _close_pairs(names, PAIR_TOL)
+    np.minimum.at(root, j, i)
+    while np.any(root[root] != root):
+        root = root[root]
+    kept, cell_name = np.unique(root, return_inverse=True)
+    reps = names[kept]
     # least points that tie in roundoff can name one cycle twice: keep the
     # least of the names each name's orbit passes (nan where it meets none)
     rep_ring = _forward_orbit(map_spec, reps, k).ravel()
@@ -804,15 +813,12 @@ def _name_cycles(map_spec: RationalMapSpec, z: np.ndarray, k: int):
     # only a ring point with a name within tol in real part can meet one
     x = np.sort(reps.real)
     ask = np.flatnonzero(np.searchsorted(x, rep_ring.real - tol) < np.searchsorted(x, rep_ring.real + tol, "right"))
-    near = _nearest(np.append(rep_ring[ask], least), reps, bound=np.append(tol[ask], np.full(least.size, np.inf)))[0]
     # a ring point with no name within tol keeps -1, which picks the nan
     ring = np.full(rep_ring.size, -1)
-    ring[ask] = near[: ask.size]
+    ring[ask] = _nearest(rep_ring[ask], reps, bound=tol[ask])[0]
     best = _least_first(np.append(reps, np.nan)[ring.reshape(k, reps.size)])[0]
     heads, slot = np.unique(best, return_inverse=True)
-    # each point is named by the name nearest its least point: the name its
-    # least point was merged into can polish onto a cycle a few 1e-9 away
-    return slot[near[ask.size :]], heads
+    return slot[cell_name[cell]], heads
 
 
 def _level_cycles(map_spec: RationalMapSpec, levels, parents, k: int, log_bound: float = math.inf):

@@ -34,17 +34,21 @@ def fn_shift(map_spec: RationalMapSpec, z: np.ndarray, n: int):
     """(F, dF, bad) with F = f^n(z) - z, dF = (f^n)'(z) - 1, vectorized.
 
     bad marks points whose orbit left the numeric range (escape toward
-    infinity or a pole); their F/dF entries are unusable.
+    infinity or a pole); their F/dF entries are unusable.  Orbits rarely
+    leave, so each step first tests the largest |w| alone, and the per-point
+    mask starts from the first step where one leaves.
     """
     w = np.array(z, dtype=complex)
     deriv = np.ones_like(w)
     bad = np.zeros(w.shape, dtype=bool)
+    masked = False
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(n):
             w, fp = _map_and_derivative(map_spec, w)
             deriv *= fp
-            bad |= ~(np.abs(w) <= _BIG)  # also catches inf and nan
-            if bad.any():
+            masked = masked or not np.abs(w).max(initial=0.0) <= _BIG  # nan fails too
+            if masked:
+                bad |= ~(np.abs(w) <= _BIG)
                 w[bad] = 0.0
                 deriv[bad] = 1.0
     return w - z, deriv - 1.0, bad

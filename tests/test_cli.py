@@ -406,11 +406,24 @@ QUERY = ["--n-min", "2", "--n-max", "4", "--profile-n", "4", "--maxent"]
         (["weyl", "--n", "4", "--interval=1,0", "--maxent"], "two finite numbers a < b"),
         (["owcount", "--n-max", "4", "--thresholds", "nan"], "bad numeric list"),
         (["enumerate", "--n-max", "0"], "--n-max must be >= 1"),
+        (["owcount", "--n-max", "8", "--delta", "nan", "--thresholds", "10"], "--delta must be finite"),
+        (["owcount", "--n-max", "8", "--thresholds=10,inf"], "bad numeric list"),
+        (["pressure", "--n", "8", "--alpha", "nan", "--t-values", "0"], "--alpha must be finite"),
+        (["pressure", "--n", "8", "--t-values=inf"], "bad numeric list"),
+        (["profile", "--n", "8", "--alpha=0.5,-inf"], "bad numeric list"),
+        (["count", *QUERY, "--interval=0,1", "--arc-width", "inf"], "--arc-width must be finite"),
+        (["weyl", "--n", "4", "--alpha", "inf"], "--alpha must be finite"),
+        (["decay", "--depth", "6", "--pairs", "1,inf"], "bad numeric list"),
+        (["decay", "--depth", "6", "--pairs", "1,0", "--xi", "nan"], "--xi must be finite"),
+        (["count", *QUERY, "--length-power", "0.5", "--length-scale", "-1"], "--length-scale must be > 0"),
     ],
     ids=["pressure-n-0", "pressure-t-nan", "pressure-t-list-nan", "dimension-n-0", "profile-n-0",
          "count-interval-reversed", "count-interval-nan", "count-interval-inf", "count-interval-one",
          "count-n-min-0", "weyl-k-max-negative", "weyl-k-max-0",
-         "weyl-interval-reversed", "owcount-nan", "enumerate-n-max-0"],
+         "weyl-interval-reversed", "owcount-nan", "enumerate-n-max-0",
+         "owcount-delta-nan", "owcount-thresholds-inf", "pressure-alpha-nan", "pressure-t-inf",
+         "profile-alpha-inf", "count-arc-width-inf", "weyl-alpha-inf", "decay-pairs-inf", "decay-xi-nan",
+         "count-length-scale-negative"],
 )
 def test_bad_query_arguments_exit_2(capsys, tmp_path, basilica_file, monkeypatch, argv, message):
     # refused as parsed, before any census is read or built
@@ -419,6 +432,35 @@ def test_bad_query_arguments_exit_2(capsys, tmp_path, basilica_file, monkeypatch
 
     monkeypatch.setattr(cli, "load_or_build_db", no_census)
     code, out, err = run(capsys, *argv, "--map", basilica_file, "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError" and message in record["message"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"numerator": [-1, 0, 1]}', "map field 'numerator' must be a list of [re, im] pairs"),
+        ("numerator: z^2 - 1", "is not valid JSON"),
+        ('{"numerator": [[1, 0], [1, 0]]}', "map fields 'numerator' and 'denominator': degree 1 < 2"),
+        ('{"denominator": [[1, 0]]}', "map field 'numerator' must be a list"),
+        ('{"numerator": [[-1, 0], [0, 0], [1, 0]], "denominator": [[1, 0, 0]]}',
+         "map field 'denominator' must be a list of [re, im] pairs"),
+        ('{"numerator": [[-1, 0], [0, 0], [1, NaN]]}', "map field 'numerator' holds a non-finite coefficient"),
+        ('{"numerator": [[0, 0]], "denominator": [[1, 0]]}', "numerator is identically zero"),
+        ('[[-1, 0], [0, 0], [1, 0]]', "a map must be an object"),
+        ('{"numerator": [["-1", 0], [0, 0], [1, 0]]}', "map field 'numerator' must be a list of [re, im] pairs"),
+        ('{"numerator": [[-1, 0], [0, 0], [1, 0]], "denominator": [[-1, 0], [1, 0]]}', "share a root"),
+    ],
+    ids=["flat-numbers", "not-json", "degree-1", "no-numerator", "triple", "nan", "zero", "list", "string",
+         "shared-root"],
+)
+def test_malformed_map_file_exits_2(capsys, tmp_path, text, message):
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "pressure", "--map", str(path), "--n", "4", "--t-values", "0",
+                         "--cache-dir", str(tmp_path / "cache"))
     assert (code, out) == (2, "")
     (line,) = err.splitlines()
     record = json.loads(line)

@@ -1,6 +1,7 @@
 """Pointwise map evaluation, cycle multipliers, and the hyperbolicity probe."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -138,3 +139,21 @@ def test_fingerprint_distinguishes_maps(square, basilica):
     assert square.to_dict() != basilica.to_dict()
     again = maps.RationalMapSpec.from_dict(square.to_dict())
     assert again.fingerprint == square.fingerprint
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_horner_skips_unit_and_zero_coefficients_bit_for_bit(degree):
+    # the plain loop's bits, up to the sign of a zero part (adding 0 to both
+    # sides makes every zero +0), over every tuple of 0, 1 and a general value
+    rng = np.random.default_rng(degree)
+    z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    before = z.copy()
+    for coeffs in itertools.product((0j, 1 + 0j, 0.5 - 2j), repeat=degree + 1):
+        for point in (z, complex(z[0])):
+            want = coeffs[-1]
+            for c in coeffs[-2::-1]:
+                want = want * point + c
+            got = maps._horner(coeffs, point)
+            assert got is not z
+            assert (np.asarray(got) + 0j).tobytes() == (np.asarray(want) + 0j).tobytes()
+    assert z.tobytes() == before.tobytes()

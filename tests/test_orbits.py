@@ -262,6 +262,40 @@ def test_name_cycles_maps_duplicates_and_rotations_to_their_cycle(basilica, basi
     assert np.abs(reps[cycle] - least[origin[order]]).max() < 1e-14
 
 
+
+def test_name_cycles_joins_least_points_across_a_cell_edge(basilica, basilica_db):
+    # two points of one 7-cycle on either side of a cell edge, 2e-11 from it,
+    # fall into two cells: their two names lie within PAIR_TOL and merge
+    least = basilica_db.level(7).z[:3]
+    cell = orbits.PAIR_TOL / 2
+    edge = (np.round(least[0].real / cell) + 0.5) * cell
+    straddle = np.array([edge - 2e-11, edge + 2e-11]) + 1j * least[0].imag
+    assert np.unique(np.round(straddle * 2 / orbits.PAIR_TOL)).size == 2
+    points = np.r_[straddle, orbits._forward_orbit(basilica, least, 7).ravel()]
+    cycle, reps = orbits._name_cycles(basilica, points, 7)
+    assert reps.size == 3
+    assert cycle[0] == cycle[1] == cycle[2]
+    assert np.abs(reps[cycle[:3]] - least[0]).max() < 1e-14
+
+
+def test_name_cycles_searches_names_not_least_points(basilica, monkeypatch):
+    # least points are grouped by cell; pair and nearest searches run over
+    # the cells' names and their rings, never over all least points
+    levels, parents = _tree_level(basilica, 12)
+    sizes = []
+    for name in ("_close_pairs", "_nearest"):
+        search = getattr(orbits, name)
+
+        def counted(points, *args, search=search, **kwargs):
+            sizes.append(np.size(points))
+            return search(points, *args, **kwargs)
+
+        monkeypatch.setattr(orbits, name, counted)
+    hit, reps, _ = orbits._level_cycles(basilica, levels, parents, 12)
+    assert reps.size == 335 and sizes
+    assert max(sizes) < np.count_nonzero(hit >= 0) / 4
+
+
 # ---- point sets ----------------------------------------------------------------
 
 def scattered(seed, size):

@@ -133,3 +133,34 @@ def test_fn_shift_flags_orbit_through_pole():
     f_want, df_want = composed(RATIONAL, 0j, 3)
     assert f_val[0] == pytest.approx(f_want, rel=1e-12)
     assert df_val[0] == pytest.approx(df_want, rel=1e-12)
+
+
+def fn_shift_masked_every_step(spec, z, n):
+    """fn_shift with the escape mask taken on every step."""
+    w = np.array(z, dtype=complex)
+    deriv = np.ones_like(w)
+    bad = np.zeros(w.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(n):
+            w, fp = maps._map_and_derivative(spec, w)
+            deriv *= fp
+            bad |= ~(np.abs(w) <= rootfind._BIG)
+            if bad.any():
+                w[bad] = 0.0
+                deriv[bad] = 1.0
+    return w - z, deriv - 1.0, bad
+
+
+@pytest.mark.parametrize("spec", [BASILICA, HALVED, RATIONAL], ids=["basilica", "halved", "rational"])
+@pytest.mark.parametrize("n", [1, 3, 7, 12])
+def test_fn_shift_masks_from_the_first_escape_as_every_step(spec, n):
+    # the mask starts late but leaves the same outputs: escaping points,
+    # the pole -1/0.3 and a preimage of it, nan and inf among bounded points
+    rng = np.random.default_rng(n)
+    z = np.r_[rng.standard_normal(30) + 1j * rng.standard_normal(30), 3.0, 40.0, 1e100, 1e200 + 1e200j,
+              -1.0 / 0.3, orbits.preimages(RATIONAL, -1.0 / 0.3)[0], np.nan, complex(1.0, np.nan),
+              np.inf, complex(np.inf, 1.0), 0.0, 0.5j]
+    for points in (z, z[:30], z[:0]):
+        got, want = rootfind.fn_shift(spec, points, n), fn_shift_masked_every_step(spec, points, n)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
