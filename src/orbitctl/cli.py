@@ -96,6 +96,17 @@ class _CacheLock:
         return False
 
 
+def _check_budget(map_spec: RationalMapSpec, exponent: int, name: str, budget: int) -> None:
+    """ConfigError when d^exponent, the work of a census through that period
+    or of a mesh of that depth, exceeds the budget."""
+    # d^e >= 2^e > budget from e = budget.bit_length() on, without forming d^e
+    if exponent >= budget.bit_length() or map_spec.degree**exponent > budget:
+        raise ConfigError(
+            f"d^{name} = {map_spec.degree}^{exponent} exceeds the work budget {budget}; "
+            "raise --budget explicitly to go deeper"
+        )
+
+
 def load_or_build_db(
     map_spec: RationalMapSpec,
     n_max: int,
@@ -105,11 +116,7 @@ def load_or_build_db(
     budget: int = DEFAULT_BUDGET,
 ) -> orbits.OrbitDatabase:
     """Census through period n_max, reusing any cached complete entries."""
-    if map_spec.degree**n_max > budget:
-        raise ConfigError(
-            f"d^n_max = {map_spec.degree**n_max} exceeds the work budget {budget}; "
-            "raise --budget explicitly to go deeper"
-        )
+    _check_budget(map_spec, n_max, "n_max", budget)
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, map_spec)
     if os.path.exists(path):
@@ -248,6 +255,8 @@ def cmd_profile(args) -> int:
 
 def cmd_dimension(args) -> int:
     map_spec = maps.load_map(args.map)
+    if args.route in ("transfer", "both"):
+        _check_budget(map_spec, args.depth, "depth", args.budget)
     results = []
     if args.route in ("orbit", "both"):
         db = load_or_build_db(map_spec, args.n, _cache_dir(args.cache_dir), budget=args.budget)
@@ -354,8 +363,11 @@ def cmd_decay(args) -> int:
         vals = _parse_floats(chunk)
         if len(vals) != 2:
             raise ConfigError(f"bad frequency pair '{chunk}'; want 'b,k'")
+        if not vals[1].is_integer():
+            raise ConfigError(f"bad frequency pair '{chunk}'; the twist e^(i k theta) needs an integer k")
         pairs.append((vals[0], int(vals[1])))
     map_spec = maps.load_map(args.map)
+    _check_budget(map_spec, args.depth, "depth", args.budget)
     mesh = transfer.build_mesh(map_spec, args.depth)
     normop = transfer.normalize(mesh, args.xi, args.alpha)
     rows = []
@@ -424,15 +436,13 @@ def _verify_db(args) -> int:
 
 # ---- parser ----------------------------------------------------------------
 
-def _add_common(sub, cache=True, budget=True):
+def _add_common(sub):
     sub.add_argument("--map", default=None,
                      help="path to a map JSON file (or config key 'map')")
     sub.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    if cache:
-        sub.add_argument("--cache-dir", default=None, help="census cache directory")
-    if budget:
-        sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                         help="cap on d^n work per enumeration")
+    sub.add_argument("--cache-dir", default=None, help="census cache directory")
+    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                     help="cap on d^n work per enumeration and d^depth per mesh")
 
 
 @functools.cache  # parsing leaves it unchanged; building it costs a quarter of a cache hit
@@ -513,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_owcount)
 
     p = subs.add_parser("decay", help="twisted-operator sup-norm decay rates")
-    _add_common(p, budget=False)
+    _add_common(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--xi", type=float, default=0.0)
     p.add_argument("--alpha", type=float, default=0.0)

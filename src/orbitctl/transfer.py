@@ -134,14 +134,19 @@ def leading_eigendata(
     xi: float,
     alpha: float = 0.0,
     max_iter: int = 5000,
+    start: np.ndarray | None = None,
+    root_tol: float | None = None,
 ):
     """(log Perron root, positive eigenvector with sup 1) by power iteration.
 
     Convergence is certified by the Collatz-Wielandt sandwich: the min and
     max of (L psi)/psi bracket the root at every step, and the iteration
-    stops once they agree to 1e-12 relative.  Weights that overflow raise
-    OverflowGuard, and a bound that is not positive and finite raises
-    NonConvergenceError.
+    stops once they agree to 1e-12 relative.  It starts from psi = start
+    (positive), or 1.  With root_tol, only the sign of the log root is
+    sought: the iteration stops once the bracket [lo, hi] is narrower than
+    root_tol * hi, or excludes 1 and is narrower than (log of its
+    midpoint)^2 * hi.  Weights that overflow raise OverflowGuard, and a
+    bound that is not positive and finite raises NonConvergenceError.
     """
     # weights that under- or overflow surface as the two errors below, not
     # as numpy warnings ahead of the error record
@@ -153,7 +158,7 @@ def leading_eigendata(
             )
         weights = _columns(weights)
         index = _columns(mesh.pre_index)
-        psi = np.ones(mesh.size, dtype=float)
+        psi = np.ones(mesh.size, dtype=float) if start is None else start
         lam = None
         for _ in range(max_iter):
             nxt = _apply(weights, index, psi)
@@ -163,7 +168,13 @@ def leading_eigendata(
                 raise NonConvergenceError(
                     f"power iteration reached the Collatz-Wielandt upper bound {hi}"
                 )
-            if hi - lo <= 1e-12 * hi:
+            if root_tol is None:
+                done = hi - lo <= 1e-12 * hi
+            else:
+                done = hi - lo <= root_tol * hi or (
+                    not lo <= 1.0 <= hi and hi - lo <= np.log(0.5 * (lo + hi)) ** 2 * hi
+                )
+            if done:
                 lam = 0.5 * (lo + hi)
                 psi = nxt
                 break
@@ -265,11 +276,24 @@ def dimension_from_mesh(
     bracket: tuple[float, float] = (1e-9, 2.0),
 ) -> DimensionResult:
     """Root of t -> log Perron root of the weight e^{-t r}; iterations counts
-    the eigen solves."""
-    value, residual, iters = bracketed_root(
-        lambda t: leading_eigendata(mesh, -t, 0.0)[0],
-        bracket, 1e-13, 1e-9, "operator pressure",
-    )
+    the eigen solves.
+
+    Each solve starts from the previous one's eigenvector and stops once
+    its Collatz-Wielandt bracket certifies the sign of its value, or pins
+    the value to Brent's own rel_tol (leading_eigendata's root_tol), so
+    every sign Brent sees is proven.  A value error e moves Brent's next
+    secant point by about e / |P'|, and an error up to P^2 keeps that below
+    the secant's own error.
+    """
+    rel_tol = 1e-13
+    psi = None
+
+    def pressure(t: float) -> float:
+        nonlocal psi
+        value, psi = leading_eigendata(mesh, -t, 0.0, start=psi, root_tol=rel_tol)
+        return value
+
+    value, residual, iters = bracketed_root(pressure, bracket, rel_tol, 1e-9, "operator pressure")
     return DimensionResult(
         value=value,
         residual=residual,

@@ -369,6 +369,37 @@ def test_decay_parses_pairs_before_building_the_mesh(capsys, basilica_file, monk
 @pytest.mark.parametrize(
     "argv",
     [
+        ["decay", "--depth", "40", "--pairs", "0,0"],
+        ["decay", "--depth", "18", "--pairs", "0,0"],
+        ["decay", "--depth", "10", "--pairs", "0,0", "--budget", "1000"],
+        ["dimension", "--route", "transfer", "--depth", "40"],
+        ["dimension", "--route", "both", "--depth", "40"],
+        ["dimension", "--route", "both", "--n", "4", "--depth", "11", "--budget", "2000"],
+    ],
+    ids=["decay-depth-40", "decay-depth-18", "decay-budget-1000", "dimension-transfer-depth-40",
+         "dimension-both-depth-40", "dimension-both-budget-2000"],
+)
+def test_mesh_over_budget_exits_2_before_building(capsys, tmp_path, basilica_file, monkeypatch, argv):
+    def refused(*args, **kwargs):
+        raise AssertionError("a mesh or census was built past the work budget")
+
+    monkeypatch.setattr(transfer, "build_mesh", refused)
+    monkeypatch.setattr(cli, "load_or_build_db", refused)
+    code, out, err = run(capsys, *argv, "--map", basilica_file, "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError" and "exceeds the work budget" in record["message"]
+
+
+@pytest.mark.parametrize("depth", [12, 14, 16, 17])
+def test_default_budget_admits_quadratic_meshes_through_depth_17(basilica, depth):
+    cli._check_budget(basilica, depth, "depth", cli.DEFAULT_BUDGET)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["decay", "--depth", "6", "--pairs", "0,0", "--n-steps", "0"],
         ["decay", "--depth", "6", "--pairs", "0,0", "--n-steps", "1"],
         ["decay", "--depth", "6", "--pairs", "0,0", "--n-steps", "2"],
@@ -415,6 +446,8 @@ QUERY = ["--n-min", "2", "--n-max", "4", "--profile-n", "4", "--maxent"]
         (["weyl", "--n", "4", "--alpha", "inf"], "--alpha must be finite"),
         (["decay", "--depth", "6", "--pairs", "1,inf"], "bad numeric list"),
         (["decay", "--depth", "6", "--pairs", "1,0", "--xi", "nan"], "--xi must be finite"),
+        (["decay", "--depth", "6", "--pairs", "0,1.5"], "bad frequency pair '0,1.5'"),
+        (["decay", "--depth", "6", "--pairs", "1,0;3,-0.5"], "bad frequency pair '3,-0.5'"),
         (["count", *QUERY, "--length-power", "0.5", "--length-scale", "-1"], "--length-scale must be > 0"),
     ],
     ids=["pressure-n-0", "pressure-t-nan", "pressure-t-list-nan", "dimension-n-0", "profile-n-0",
@@ -423,6 +456,7 @@ QUERY = ["--n-min", "2", "--n-max", "4", "--profile-n", "4", "--maxent"]
          "weyl-interval-reversed", "owcount-nan", "enumerate-n-max-0",
          "owcount-delta-nan", "owcount-thresholds-inf", "pressure-alpha-nan", "pressure-t-inf",
          "profile-alpha-inf", "count-arc-width-inf", "weyl-alpha-inf", "decay-pairs-inf", "decay-xi-nan",
+         "decay-k-fraction", "decay-k-negative-fraction",
          "count-length-scale-negative"],
 )
 def test_bad_query_arguments_exit_2(capsys, tmp_path, basilica_file, monkeypatch, argv, message):

@@ -155,6 +155,101 @@ def test_leading_eigendata_matches_orbit_pressure(ctx, basilica_mesh, basilica_d
     assert abs(log_shallow - log_lam) < 5e-2
 
 
+def cold_eigendata(mesh, xi, alpha=0.0, max_iter=5000):
+    """The cold power iteration, kept here as written before warm starts:
+    from psi = 1 until the Collatz-Wielandt gap is 1e-12 relative."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        weights = transfer._columns(np.exp(xi * (mesh.pre_r - alpha)))
+        index = transfer._columns(mesh.pre_index)
+        psi = np.ones(mesh.size, dtype=float)
+        lam = None
+        for _ in range(max_iter):
+            nxt = transfer._apply(weights, index, psi)
+            ratios = nxt / psi
+            lo, hi = float(ratios.min()), float(ratios.max())
+            if hi - lo <= 1e-12 * hi:
+                lam = 0.5 * (lo + hi)
+                psi = nxt
+                break
+            psi = nxt / nxt.max()
+    psi = psi / psi.max()
+    return float(np.log(lam)), psi
+
+
+@pytest.mark.parametrize("mesh_name", ["dense_mesh", "circle_mesh", "basilica_mesh"])
+def test_leading_eigendata_defaults_keep_the_cold_iteration(request, mesh_name):
+    mesh = request.getfixturevalue(mesh_name)
+    for xi, alpha in ((0.0, 0.0), (-1.2, 0.0), (0.5, 0.3), (-0.7, 0.1)):
+        log_lam, psi = transfer.leading_eigendata(mesh, xi, alpha)
+        want_lam, want_psi = cold_eigendata(mesh, xi, alpha)
+        assert np.float64(log_lam).view(np.uint64) == np.float64(want_lam).view(np.uint64)
+        assert np.array_equal(psi.view(np.uint64), want_psi.view(np.uint64))
+
+
+def test_leading_eigendata_from_its_own_eigenvector_stops_at_once(basilica_mesh):
+    log_lam, psi = transfer.leading_eigendata(basilica_mesh, -1.1)
+    again, _ = transfer.leading_eigendata(basilica_mesh, -1.1, start=psi, max_iter=2)
+    assert again == pytest.approx(log_lam, abs=1e-12)
+
+
+DIMENSION_MAPS = {
+    "z^2": ((0, 0, 1), (1,)),
+    "z^2 + 0.05": ((0.05, 0, 1), (1,)),
+    "z^2 + 0.1": ((0.1, 0, 1), (1,)),
+    "basilica": ((-1, 0, 1), (1,)),
+    "z^3 + 0.003 + 0.002i": ((0.003 + 0.002j, 0, 0, 1), (1,)),
+    "(z^2 + 0.1)/(1 + 0.3z)": ((0.1, 0, 1), (1, 0.3)),
+    "z(z - 1/2)/(1 - z/2)": ((0, -0.5, 1), (1, -0.5)),
+}
+
+
+def cold_dimension(mesh):
+    """The operator root with every Brent point solved cold to 1e-12."""
+    return thermo.bracketed_root(
+        lambda t: cold_eigendata(mesh, -t)[0], (1e-9, 2.0), 1e-13, 1e-9, "cold operator pressure"
+    )
+
+
+@pytest.mark.parametrize("name", list(DIMENSION_MAPS))
+def test_dimension_from_mesh_matches_cold_solves(monkeypatch, name):
+    num, den = DIMENSION_MAPS[name]
+    spec = maps.RationalMapSpec(numerator=num, denominator=den)
+    mesh = transfer.build_mesh(spec, 10 if spec.degree == 2 else 6)
+    seen = []
+
+    def recorded(mesh, xi, *args, **kwargs):
+        value, psi = solve(mesh, xi, *args, **kwargs)
+        seen.append((xi, value))
+        return value, psi
+
+    solve = transfer.leading_eigendata
+    monkeypatch.setattr(transfer, "leading_eigendata", recorded)
+    res = transfer.dimension_from_mesh(mesh)
+    cold, _, _ = cold_dimension(mesh)
+    assert abs(res.value - cold) <= 1e-12
+    assert len(seen) == res.iterations <= 12
+    # each Brent point's sign is the cold solve's, unless that one is 0 to 1e-12
+    for xi, value in seen:
+        want = cold_eigendata(mesh, xi)[0]
+        assert np.sign(value) == np.sign(want) or abs(want) <= 1e-12
+
+
+def test_dimension_from_mesh_halves_the_cold_work(monkeypatch, ctx):
+    mesh = ctx.mesh("basilica", 12)
+    calls = {"n": 0}
+    apply = transfer._apply
+
+    def counted(*args):
+        calls["n"] += 1
+        return apply(*args)
+
+    monkeypatch.setattr(transfer, "_apply", counted)
+    cold_dimension(mesh)
+    cold, calls["n"] = calls["n"], 0
+    transfer.dimension_from_mesh(mesh)
+    assert calls["n"] <= cold / 2
+
+
 def test_leading_eigendata_nonconvergence(basilica_mesh):
     with pytest.raises(NonConvergenceError):
         transfer.leading_eigendata(basilica_mesh, 0.5, 0.3, max_iter=1)
