@@ -117,7 +117,10 @@ def load_or_build_db(
 ) -> orbits.OrbitDatabase:
     """Census through period n_max, reusing any cached complete entries."""
     _check_budget(map_spec, n_max, "n_max", budget)
-    os.makedirs(cache_dir, exist_ok=True)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cache directory {cache_dir} cannot be made: {exc.strerror}") from None
     path = _cache_path(cache_dir, map_spec)
     if os.path.exists(path):
         db = orbits.load_db(path, map_spec)
@@ -344,6 +347,8 @@ def cmd_weyl(args) -> int:
 
 
 def cmd_owcount(args) -> int:
+    if args.delta is not None and not 0.0 < args.delta <= 2.0:
+        raise ConfigError(f"--delta must lie in (0, 2], got {args.delta}")
     thresholds = _parse_floats(args.thresholds)
     map_spec = maps.load_map(args.map)
     db = load_or_build_db(map_spec, args.n_max, _cache_dir(args.cache_dir), budget=args.budget)
@@ -425,7 +430,10 @@ def _verify_suite(args) -> int:
 
 def _verify_db(args) -> int:
     map_spec = maps.load_map(args.map) if args.map else None
-    db = orbits.load_db(args.db, map_spec)
+    try:
+        db = orbits.load_db(args.db, map_spec)
+    except OSError as exc:
+        raise ConfigError(f"census {args.db} cannot be read: {exc.strerror}") from None
     checks = {"entries": len(db.entries)}
     if map_spec is not None:
         checks.update(orbits.verify_census(map_spec, db))

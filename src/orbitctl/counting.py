@@ -245,6 +245,8 @@ def li_table(
     trend_ok records whether |ratio - 1| is non-increasing over the top
     half of the usable rows, a crude monotonicity check on convergence.
     """
+    if not 0.0 < delta <= 2.0:
+        raise DomainError(f"delta = {delta} is not a dimension of a Julia set in the sphere, in (0, 2]")
     ts = sorted(float(t) for t in thresholds)
     walk = None
     if ts:

@@ -37,7 +37,7 @@ import math
 import os
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -1094,9 +1094,28 @@ def load_db(path, map_spec: RationalMapSpec | None = None) -> OrbitDatabase:
     whose method is not a string or null, or whose distortion is not a
     number or null, raises VersionMismatchError naming it; given the map, a
     complete period that fails the census identity or stores one point twice
-    raises IncompleteCensusError."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    raises IncompleteCensusError.
+
+    The file is read whole on every call, but the last (path, bytes, map)
+    is decoded and checked once per process: a later load of the same bytes
+    shares its read-only entries and gets its own entries dict and caches.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    parsed = _parse_db(os.fspath(path), data, map_spec)  # a str and a Path to one file share it
+    db = OrbitDatabase(map_fingerprint=parsed.map_fingerprint, hyperbolicity=parsed.hyperbolicity,
+                       entries=dict(parsed.entries))
+    if map_spec is not None:
+        # the parse is looked up by ==, blind to the sign of a zero coefficient;
+        # the fingerprint is not
+        _require_map(map_spec, db)
+    return db
+
+
+@lru_cache(maxsize=1)
+def _parse_db(path, data: bytes, map_spec: RationalMapSpec | None) -> OrbitDatabase:
+    """load_db's decode and checks of one file's bytes; never handed out."""
+    lines = data.decode().splitlines()
     raw = [(i, text) for i, line in enumerate(lines, start=1) if (text := line.strip())]
     if not raw:
         raise VersionMismatchError(f"{path}: empty cache file")

@@ -53,10 +53,19 @@ def level_terms(db: OrbitDatabase, n: int):
     return out
 
 
+def _tilted(x: np.ndarray, s: complex) -> np.ndarray:
+    """s * x, the exponents of a level sum; OverflowGuard when one overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = s * x
+    if not np.isfinite(expo).all():
+        raise OverflowGuard(f"tilt {s} overflows the level sum's exponents")
+    return expo
+
+
 def log_zn(db: OrbitDatabase, n: int, s: complex, k: int = 0, alpha: float = 0.0) -> complex:
     """Principal log of Z_n(s, k), stable for any magnitude."""
     r, th, w = level_terms(db, n)
-    expo = s * (r - n * alpha) + 1j * k * th
+    expo = _tilted(r - n * alpha, s) + 1j * k * th
     shift = float(np.max(expo.real))
     total = np.sum(w * np.exp(expo - shift))
     if total == 0:
@@ -89,7 +98,7 @@ def pressure_derivatives(db: OrbitDatabase, n: int, t: float, alpha: float = 0.0
     """(q1, q2): softmax mean and variance of (r_n - n*alpha)/n at tilt t."""
     r, _, w = level_terms(db, n)
     x = r - n * alpha
-    expo = t * x
+    expo = _tilted(x, t)
     shift = np.max(expo)
     p = w * np.exp(expo - shift)
     p /= p.sum()

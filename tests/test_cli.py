@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -439,6 +440,9 @@ QUERY = ["--n-min", "2", "--n-max", "4", "--profile-n", "4", "--maxent"]
         (["enumerate", "--n-max", "0"], "--n-max must be >= 1"),
         (["owcount", "--n-max", "8", "--delta", "nan", "--thresholds", "10"], "--delta must be finite"),
         (["owcount", "--n-max", "8", "--thresholds=10,inf"], "bad numeric list"),
+        (["owcount", "--n-max", "8", "--delta", "0", "--thresholds", "10"], "--delta must lie in (0, 2]"),
+        (["owcount", "--n-max", "8", "--delta", "-1", "--thresholds", "10"], "--delta must lie in (0, 2]"),
+        (["owcount", "--n-max", "8", "--delta", "5", "--thresholds", "10"], "--delta must lie in (0, 2]"),
         (["pressure", "--n", "8", "--alpha", "nan", "--t-values", "0"], "--alpha must be finite"),
         (["pressure", "--n", "8", "--t-values=inf"], "bad numeric list"),
         (["profile", "--n", "8", "--alpha=0.5,-inf"], "bad numeric list"),
@@ -454,7 +458,8 @@ QUERY = ["--n-min", "2", "--n-max", "4", "--profile-n", "4", "--maxent"]
          "count-interval-reversed", "count-interval-nan", "count-interval-inf", "count-interval-one",
          "count-n-min-0", "weyl-k-max-negative", "weyl-k-max-0",
          "weyl-interval-reversed", "owcount-nan", "enumerate-n-max-0",
-         "owcount-delta-nan", "owcount-thresholds-inf", "pressure-alpha-nan", "pressure-t-inf",
+         "owcount-delta-nan", "owcount-thresholds-inf", "owcount-delta-0", "owcount-delta-negative",
+         "owcount-delta-5", "pressure-alpha-nan", "pressure-t-inf",
          "profile-alpha-inf", "count-arc-width-inf", "weyl-alpha-inf", "decay-pairs-inf", "decay-xi-nan",
          "decay-k-fraction", "decay-k-negative-fraction",
          "count-length-scale-negative"],
@@ -499,6 +504,55 @@ def test_malformed_map_file_exits_2(capsys, tmp_path, text, message):
     (line,) = err.splitlines()
     record = json.loads(line)
     assert record["error"] == "ConfigError" and message in record["message"]
+
+
+@pytest.mark.parametrize("t", ["1e308", "-1e308"])
+def test_overflowing_pressure_tilt_exits_3(capsys, tmp_path, basilica_file, t):
+    argv = ("--map", basilica_file, "--cache-dir", str(tmp_path))
+    assert run(capsys, "enumerate", *argv, "--n-max", "6")[0] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would exit 1
+        code, out, err = run(capsys, "pressure", *argv, "--n", "6", f"--t-values=0,{t}")
+    assert (code, out) == (3, "")
+    (line,) = err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "OverflowGuard" and "overflows" in record["message"]
+
+
+def test_bad_paths_exit_2(capsys, tmp_path, basilica_file):
+    missing = tmp_path / "missing.jsonl"
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    for argv, path in (
+        (["verify", "--db", str(missing)], missing),
+        (["verify", "--db", str(tmp_path)], tmp_path),
+        (["pressure", "--n", "4", "--t-values", "0", "--cache-dir", str(plain / "cache")], plain / "cache"),
+        (["pressure", "--n", "4", "--t-values", "0", "--cache-dir", str(plain)], plain),
+    ):
+        code, out, err = run(capsys, *argv, "--map", basilica_file)
+        assert (code, out) == (2, ""), argv
+        (line,) = err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "ConfigError" and str(path) in record["message"], argv
+
+
+def test_light_queries_decode_the_cache_once(capsys, tmp_path, basilica_file):
+    argv = ("--map", basilica_file, "--cache-dir", str(tmp_path))
+    assert run(capsys, "enumerate", *argv, "--n-max", "8")[0] == 0
+    queries = [
+        ("pressure", "--n", "8", "--t-values", "0,0.5,1"),
+        ("profile", "--n", "8", "--maxent"),
+        ("count", *QUERY, "--interval=-1,1"),
+        ("weyl", "--n", "8", "--k-max", "3"),
+    ] * 5
+    cold = []
+    for q in queries:
+        orbits._parse_db.cache_clear()
+        cold.append(run(capsys, *q, *argv))
+    orbits._parse_db.cache_clear()
+    warm = [run(capsys, *q, *argv) for q in queries]
+    assert orbits._parse_db.cache_info().misses == 1
+    assert warm == cold and all(code == 0 for code, _, _ in warm)
 
 
 # ---- verify -------------------------------------------------------------------

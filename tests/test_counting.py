@@ -331,6 +331,13 @@ def test_li_table_square(square, square_db):
     assert isinstance(rep.trend_ok, bool)
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, 5.0, 2.0 + 1e-12, math.nan])
+def test_li_table_refuses_delta_outside_0_2(square, square_db, delta):
+    # delta is the dimension of a Julia set in the sphere
+    with pytest.raises(DomainError, match=r"in \(0, 2\]"):
+        counting.li_table(square_db, (6.0, 20.0), delta=delta, map_spec=square)
+
+
 # ---- level-by-level convergence ----------------------------------------------
 
 def convergence_rows(db, profile, template, n_range):

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from orbitctl import cli, maps, orbits, rootfind
+from orbitctl import cli, maps, orbits, rootfind, thermo
 from orbitctl.errors import (
     DegreeOverflowError,
     FingerprintMismatchError,
@@ -637,6 +638,114 @@ def test_load_rejects_corrupt_cache(tmp_path, basilica, basilica_db, corrupt, me
     with pytest.raises(VersionMismatchError, match=message) as err:
         orbits.load_db(path, basilica)
     assert str(path) in str(err.value)
+
+
+def _period_moved(lines):
+    # one digit: the first period-10 record is filed under period 11
+    i = next(i for i, line in enumerate(lines) if line.startswith('{"log_abs"') and '"n": 10,' in line)
+    return lines[:i] + [lines[i].replace('"n": 10,', '"n": 11,')] + lines[i + 1:]
+
+
+@pytest.mark.parametrize(
+    "corrupt, error, message",
+    [
+        (_with_version(1), VersionMismatchError, f"cache version 1, expected {orbits.DB_VERSION}"),
+        (_period_moved, IncompleteCensusError, "stored census fails at n = 10"),
+    ],
+    ids=["version-1", "period-moved"],
+)
+def test_load_sees_an_edit_that_keeps_size_and_mtime(tmp_path, basilica, basilica_db, corrupt, error,
+                                                    message):
+    # the decode is reused only for the same bytes: an edit of the same
+    # length within one mtime tick is decoded and refused, on every load
+    path = tmp_path / "census.jsonl"
+    orbits.save_db(basilica_db, path)
+    assert orbits.load_db(path, basilica).max_complete_period() == basilica_db.max_complete_period()
+    before = os.stat(path)
+    damaged = "\n".join(corrupt(path.read_text().splitlines())) + "\n"
+    assert len(damaged) == before.st_size
+    path.write_text(damaged)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert (os.stat(path).st_size, os.stat(path).st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            orbits.load_db(path, basilica)
+
+
+def test_loads_share_no_mutable_state(tmp_path, basilica, basilica_db):
+    path = tmp_path / "census.jsonl"
+    orbits.save_db(basilica_db, path)
+    top = basilica_db.max_complete_period()
+    first = orbits.load_db(path, basilica)
+    thermo.level_terms(first, 8)
+    assert first._term_cache
+    first.entries.pop(top)
+    second = orbits.load_db(path, basilica)
+    assert second is not first and second.entries is not first.entries
+    assert (second._term_cache, second._walk_cache) == ({}, {})
+    assert (first.max_complete_period(), second.max_complete_period()) == (top - 1, top)
+    # the entries themselves are shared, read-only
+    assert second.entries[8] is first.entries[8]
+    assert not second.entries[8].z.flags.writeable
+
+
+def test_extending_a_loaded_census_leaves_the_next_load_alone(tmp_path, basilica):
+    cache = tmp_path / "cache"
+    cli.load_or_build_db(basilica, 6, str(cache))
+    path = cache / f"{basilica.fingerprint}.jsonl"
+    old = path.read_bytes()
+    kept = orbits.load_db(path, basilica)
+    assert cli.load_or_build_db(basilica, 8, str(cache)).max_complete_period() == 8
+    assert kept.max_complete_period() == 6
+    path.write_bytes(old)  # the bytes of the parse kept in memory
+    assert orbits.load_db(path, basilica).max_complete_period() == 6
+
+
+def test_each_load_walks_the_tree_again(tmp_path, basilica, basilica_db, maxent_alpha, monkeypatch):
+    # a walk is kept with the database it was made for, not with the file
+    path = tmp_path / "census.jsonl"
+    orbits.save_db(basilica_db, path)
+    walks = []
+    walk = orbits.walk_multiplier_bounded
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(orbits, "walk_multiplier_bounded", counted)
+    t = math.exp(maxent_alpha * 8)
+    for expected in (1, 2):
+        db = orbits.load_db(path, basilica)
+        first = orbits.multiplier_bounded_orbits(basilica, db, t)
+        assert orbits.multiplier_bounded_orbits(basilica, db, t) is first
+        assert len(walks) == expected
+
+
+def test_load_checks_the_map_after_a_reused_decode(tmp_path, basilica, square, basilica_db):
+    path = tmp_path / "census.jsonl"
+    orbits.save_db(basilica_db, path)
+    orbits.load_db(path, basilica)
+    orbits.load_db(path, basilica)
+    with pytest.raises(FingerprintMismatchError):
+        orbits.load_db(path, square)
+    # equal to the basilica by ==, but a negative zero changes its fingerprint
+    signed = maps.RationalMapSpec(numerator=(-1.0, -0.0, 1.0))
+    assert signed == basilica and signed.fingerprint != basilica.fingerprint
+    orbits.load_db(path, basilica)
+    with pytest.raises(FingerprintMismatchError):
+        orbits.load_db(path, signed)
+
+
+def test_load_with_the_map_checks_what_a_load_without_it_did_not(tmp_path, basilica, basilica_db):
+    # period 9 stays marked complete after its records are deleted
+    path = tmp_path / "census.jsonl"
+    orbits.save_db(basilica_db, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(line for line in lines if json.loads(line).get("n") != 9) + "\n")
+    assert orbits.load_db(path).level(9).z.size == 0
+    for _ in range(2):
+        with pytest.raises(IncompleteCensusError, match="n = 9"):
+            orbits.load_db(path, basilica)
 
 
 # ---- multiplier-bounded walk -------------------------------------------------

@@ -47,6 +47,15 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "[]"
+    # beyond what a bare interpreter loads (site may import packages of its
+    # own), the CLI adds numpy, the package and the standard library only
+    loaded = {}
+    for name, code in (("bare", "pass"), ("cli", "import orbitctl.cli")):
+        out = subprocess.run([sys.executable, "-c", f"{code}; import sys; print(sorted(sys.modules))"],
+                             capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+        loaded[name] = set(ast.literal_eval(out.stdout))
+    added = {m.split(".")[0] for m in loaded["cli"] - loaded["bare"]}
+    assert sorted(added - {"numpy", "orbitctl"} - sys.stdlib_module_names) == []
 
 
 def test_module_imports_are_acyclic():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from orbitctl.errors import (
     BracketError,
     DegenerateError,
     NonConvergenceError,
+    OverflowGuard,
 )
 from orbitctl.orbits import divisors
 
@@ -73,6 +75,17 @@ def test_zn_overflow_guard(basilica_db):
     # Z_8(200) is far beyond double range; its log stays finite
     lz = thermo.log_zn(basilica_db, 8, 200.0)
     assert lz.real > 705.0 and math.isfinite(lz.real)
+
+
+@pytest.mark.parametrize("t", [1e308, -1e308])
+def test_overflowing_tilt_raises_without_warning(basilica_db, t):
+    # t * r_n overflows: a refusal, not a row of nan behind numpy's warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowGuard, match="overflows"):
+            thermo.log_zn(basilica_db, 8, t)
+        with pytest.raises(OverflowGuard, match="overflows"):
+            thermo.pressure_derivatives(basilica_db, 8, t)
 
 
 def test_pressure_closed_form_square(square_db):
